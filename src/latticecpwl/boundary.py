@@ -312,6 +312,8 @@ def count_pieces_sampled(
 def _domain_cloud(
     basis: OrientedBasis, grid_density: int, seed: int, budget: int
 ) -> np.ndarray:
+    """D(B) points: the bbox grid masked by domain_contains at n <= 4 (exact,
+    pinned counts), else min(grid_density^d, budget) exact sample_domain points."""
     d = basis.n - 1
     if d == 0:
         return np.zeros((1, 0))

@@ -76,11 +76,11 @@ def _csv(header: list[str], rows: list[list[object]]) -> str:
 def _read_points(path: str, expect_dim: int) -> np.ndarray:
     try:
         with open(path) as fh:
-            raw = [line.split() for line in fh if line.strip()]
+            raw = [line.split() for line in fh]
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     try:
-        pts = np.array([[float(tok) for tok in row] for row in raw], dtype=float)
+        pts = np.array([[float(tok) for tok in row] for row in raw if row], dtype=float)
     except ValueError as exc:
         raise DomainError(f"cannot parse {path}: {exc}") from exc
     if pts.size == 0:
@@ -89,6 +89,10 @@ def _read_points(path: str, expect_dim: int) -> np.ndarray:
         raise DomainError(
             f"{path}: expected {expect_dim} coordinates per line, got {pts.shape[1]}"
         )
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        line = [k for k, row in enumerate(raw, 1) if row][bad[0]]
+        raise DomainError(f"{path}: line {line} has a non-finite coordinate")
     return pts
 
 

@@ -157,7 +157,7 @@ def verify_fold_invariance(
     seed: int = 0,
     count: int = 10_000,
 ) -> float:
-    """Max |f(y~) - f(F(y~))| over uniform samples of the projected domain.
+    """Max |f(y~) - f(F(y~))| over exact D(B) samples from P(B)'s lower facets.
 
     Sampling is split into FOLD_CHUNKS independently seeded chunks evaluated
     by a thread pool (capped by the LATTICE_FOLD_THREADS variable); the merge

@@ -369,14 +369,6 @@ def fiber_interval_batch(
     return lo, hi
 
 
-def fiber_interval(basis: OrientedBasis, yt: np.ndarray) -> tuple[float, float] | None:
-    """Scalar version of fiber_interval_batch; None when the fiber is empty."""
-    lo, hi = fiber_interval_batch(basis, np.asarray(yt, dtype=float)[None, :])
-    if hi[0] - lo[0] <= 1e-12:
-        return None
-    return float(lo[0]), float(hi[0])
-
-
 def domain_contains(basis: OrientedBasis, Yt: np.ndarray) -> np.ndarray:
     """Boolean mask: ytilde rows whose fiber through P(B) is nonempty."""
     lo, hi = fiber_interval_batch(basis, Yt)
@@ -388,6 +380,7 @@ def domain_bbox(basis: OrientedBasis) -> tuple[np.ndarray, np.ndarray]:
 
     D(B) is the projection of a parallelotope, i.e. a zonotope; coordinate
     extremes are attained at projected corners, so the corner hull box is exact.
+    Only the n <= 4 grid of count_pieces_sampled needs it; see sample_domain.
     """
     corners = enumerate_corners(basis)
     proj = corners.x[:, 1:]
@@ -395,22 +388,23 @@ def domain_bbox(basis: OrientedBasis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_domain(basis: OrientedBasis, seed: int, count: int) -> np.ndarray:
-    """count uniform points of D(B) by rejection from its bounding box."""
-    if basis.n == 1:
-        return np.zeros((count, 0))
-    lo, hi = domain_bbox(basis)
+    """count uniform points of D(B), exact and without rejection.
+
+    Dropping the first coordinate maps the lower boundary of P(B) one-to-one
+    onto D(B). With y = alpha G it is n facets: facet i pins alpha_i = 0 when
+    Ginv[0, i] > 0, alpha_i = 1 when Ginv[0, i] < 0, and projects with volume
+    |det(G[:, 1:] without row i)| = |Ginv[0, i]| |det G| (Cramer; a vertical
+    facet, Ginv[0, i] = 0, gets 0). Each point picks a facet in proportion to
+    volume, draws the other alpha from U[0, 1) and returns alpha G[:, 1:].
+    seed is anything numpy.random.default_rng accepts (an int or a tuple).
+    """
+    r = basis.Ginv[0]
+    vol = np.where(np.abs(r) < 1e-15, 0.0, np.abs(r))
     rng = np.random.default_rng(seed)
-    d = basis.n - 1
-    out = np.empty((count, d))
-    have = 0
-    batch = max(4 * count, 20_000)
-    while have < count:
-        cand = lo + rng.random((batch, d)) * (hi - lo)
-        keep = cand[domain_contains(basis, cand)]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-    return out
+    facet = rng.choice(basis.n, size=count, p=vol / vol.sum())
+    alpha = rng.random((count, basis.n))
+    alpha[np.arange(count), facet] = r[facet] < 0
+    return alpha @ basis.G[:, 1:]
 
 
 def project_points(Y: np.ndarray) -> np.ndarray:

@@ -142,6 +142,17 @@ def test_eval_unparseable_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,row", [("eval", "0.1 0.2"), ("decode", "0.5 0.1 0.2")])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_points_exit_2(capsys, tmp_path, command, row, bad):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(f"{row} 0.3\n\n{row} {bad}\n")
+    code, out, err = run(capsys, [command, "--family", "an", "--n", "4", "--in", str(pts)])
+    assert code == 2
+    assert out == ""
+    assert str(pts) in err and "line 3" in err and "non-finite" in err
+
+
 def test_decode_agrees_with_nearest_corner(capsys, tmp_path):
     basis = lat.build_basis(lat.FamilyId("an", 4))
     Y = lat.sample_parallelotope(basis, seed=9, count=50)

@@ -1,6 +1,7 @@
 """Lattice-core checks: Gram patterns, orientation, corners, shells, CVP oracles."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -229,7 +230,89 @@ def test_sample_domain_uniform_members():
     Yt = lat.sample_domain(basis, seed=9, count=400)
     assert Yt.shape == (400, 3)
     assert lat.domain_contains(basis, Yt).all()
-    assert np.array_equal(Yt, lat.sample_domain(basis, seed=9, count=400))
+    assert Yt.tobytes() == lat.sample_domain(basis, seed=9, count=400).tobytes()
+    # tuple seeds, as verify_fold_invariance passes per chunk
+    Ut = lat.sample_domain(basis, seed=(9, 3), count=400)
+    assert Ut.tobytes() == lat.sample_domain(basis, seed=(9, 3), count=400).tobytes()
+    assert not np.array_equal(Ut, Yt)
+    assert not np.array_equal(Ut, lat.sample_domain(basis, seed=(9, 4), count=400))
+
+
+# ---------------------------------------------------------------------------
+# sample_domain against an independent bounding-box rejection sampler
+
+ORACLE_COUNT = 200_000
+ORACLE_CASES = [("an", 4), ("an", 8), ("dn-second", 6), ("en", 8)]
+
+
+@functools.lru_cache(maxsize=None)
+def _rejection_oracle(family: str, n: int) -> tuple[np.ndarray, int, int]:
+    """ORACLE_COUNT uniform D(B) points by rejection from domain_bbox, plus
+    the accepted and tested candidate counts over every batch drawn."""
+    basis = lat.build_basis(lat.FamilyId(family, n))
+    lo, hi = lat.domain_bbox(basis)
+    rng = np.random.default_rng(101)
+    batch, kept, accepted, tested = 4 * ORACLE_COUNT, [], 0, 0
+    while accepted < ORACLE_COUNT:
+        cand = lo + rng.random((batch, n - 1)) * (hi - lo)
+        kept.append(cand[lat.domain_contains(basis, cand)])
+        accepted += kept[-1].shape[0]
+        tested += batch
+    return np.concatenate(kept)[:ORACLE_COUNT], accepted, tested
+
+
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    fa = np.searchsorted(a, both, side="right") / a.size
+    fb = np.searchsorted(b, both, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+@pytest.mark.parametrize("family,n", ORACLE_CASES)
+def test_sample_domain_matches_rejection_oracle(family, n):
+    basis = lat.build_basis(lat.FamilyId(family, n))
+    Yt = lat.sample_domain(basis, seed=202, count=ORACLE_COUNT)
+    assert Yt.shape == (ORACLE_COUNT, n - 1)
+    assert lat.domain_contains(basis, Yt).all()
+    ref, _, _ = _rejection_oracle(family, n)
+    # per-coordinate two-sample KS at 1%, Bonferroni-corrected over the n - 1
+    # coordinates; asymptotic critical value c(a) sqrt(2 / N), N per sample
+    crit = math.sqrt(-0.5 * math.log(0.01 / (n - 1) / 2) * 2 / ORACLE_COUNT)
+    stats = [_ks_statistic(Yt[:, j], ref[:, j]) for j in range(n - 1)]
+    assert max(stats) < crit, (stats, crit)
+
+
+@pytest.mark.parametrize("family,n", ORACLE_CASES)
+def test_lower_facet_volumes_match_rejection_acceptance(family, n):
+    basis = lat.build_basis(lat.FamilyId(family, n))
+    Gt = basis.G[:, 1:]
+    facets = sum(abs(np.linalg.det(np.delete(Gt, i, axis=0))) for i in range(n))
+    lo, hi = lat.domain_bbox(basis)
+    _, accepted, tested = _rejection_oracle(family, n)
+    p = accepted / tested
+    box = float(np.prod(hi - lo))
+    stderr = box * math.sqrt(p * (1 - p) / tested)
+    assert abs(facets - box * p) <= 4 * stderr, (facets, box * p, stderr)
+
+
+def test_sample_domain_low_rank():
+    # n = 2: D(B) is the interval domain_bbox, sampled uniformly
+    basis = lat.build_basis(lat.FamilyId("an", 2))
+    Yt = lat.sample_domain(basis, seed=5, count=ORACLE_COUNT)
+    lo, hi = lat.domain_bbox(basis)
+    assert Yt.shape == (ORACLE_COUNT, 1)
+    assert lat.domain_contains(basis, Yt).all()
+    assert Yt.min() >= lo[0] and Yt.max() <= hi[0]
+    # one-sample KS against U[lo, hi] at 1%
+    cdf = (np.sort(Yt[:, 0]) - lo[0]) / (hi[0] - lo[0])
+    steps = np.arange(ORACLE_COUNT + 1) / ORACLE_COUNT
+    stat = max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max())
+    assert stat < math.sqrt(-0.5 * math.log(0.01 / 2) / ORACLE_COUNT)
+    # n = 1: D(B) is a point in R^0
+    one = lat.sample_domain(lat.build_basis(lat.FamilyId("an", 1)), seed=5, count=7)
+    assert one.shape == (7, 0)
 
 
 def test_basis_json_roundtrip():
