@@ -95,21 +95,9 @@ def decoding_error_bound(n: int) -> float:
     return 2.0 ** (-exponent) / math.sqrt(2.0 * math.pi * n)
 
 
-# row count per evaluation block; the boundary evaluation materializes an
-# (N x pieces) matrix, so large sample counts are processed in slices
-EVAL_CHUNK = 100_000
-
-
 def _fiber_quantities(basis: lat.OrientedBasis, f: bnd.BoundaryFunction, Y):
-    count = Y.shape[0]
-    vals = np.empty(count)
-    lo = np.empty(count)
-    hi = np.empty(count)
-    for start in range(0, count, EVAL_CHUNK):
-        sl = slice(start, min(start + EVAL_CHUNK, count))
-        Yt = Y[sl, 1:]
-        vals[sl], _ = bnd.eval_boundary_batch(f, Yt)
-        lo[sl], hi[sl] = lat.fiber_interval_batch(basis, Yt)
+    vals, _ = bnd.eval_boundary_batch(f, Y[:, 1:])
+    lo, hi = lat.fiber_interval_batch(basis, Y[:, 1:])
     ell = hi - lo
     if (ell <= 0).any():
         raise InternalCheckError("projected sample with empty fiber")

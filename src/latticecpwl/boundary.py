@@ -10,7 +10,6 @@ collapse the same way).
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +22,10 @@ from .errors import ConstructionError, DomainError, InternalCheckError
 from .lattices import FamilyId, OrientedBasis
 
 DECODE_TOL = 1e-7
+# points per block of eval_boundary_batch's (N x memberships) gather
+EVAL_ROWS = 20_000
+# sample_domain points of count_pieces_sampled above n = 4
+SAMPLE_BUDGET = 200_000
 
 PlaneKey = tuple[tuple[int, ...], int]  # (difference z-vector, 2p as integer)
 
@@ -73,20 +76,6 @@ class BoundaryFunction:
         return float(np.sqrt((self.A**2).sum(axis=1)).max()) if len(self.A) else 0.0
 
 
-def neighbors_in_c0(basis: OrientedBasis, x_z: np.ndarray) -> list[np.ndarray]:
-    """C^0 corners x' with x - x' in the minimal-norm (Voronoi relevant) shell."""
-    x_z = np.asarray(x_z, dtype=np.int64)
-    if x_z[0] != 1:
-        raise DomainError("x must be a C^1 corner (z_1 = 1)")
-    corners = lat.enumerate_corners(basis)
-    c0 = corners.z[corners.c0_rows]
-    gram = basis.gram.astype(np.int64)
-    d = x_z[None, :] - c0
-    norms = np.einsum("ij,jk,ik->i", d, gram, d)
-    minn = int(lat.minimal_squared_norm(basis))
-    return [c0[i].copy() for i in np.flatnonzero(norms == minn)]
-
-
 def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
     """Construct f from all (x in C^1, x' in C^0) closest-neighbor pairs.
 
@@ -98,10 +87,16 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
         raise ConstructionError("boundary construction needs an integer gram matrix")
     n = basis.n
     gram = basis.gram.astype(np.int64)
+    diag = np.diag(gram)
+    # an even diagonal spans an even lattice (norms >= 2); a diagonal 2 attains it
+    if (diag % 2).any() or diag.min() != 2:
+        raise ConstructionError(
+            f"boundary construction needs an even gram diagonal with minimum 2, "
+            f"got {diag.tolist()}"
+        )
     corners = lat.enumerate_corners(basis)
     c1 = corners.z[corners.c1_rows]
     c0 = corners.z[corners.c0_rows]
-    minn = int(lat.minimal_squared_norm(basis))
 
     plane_ids: dict[PlaneKey, int] = {}
     keys: list[PlaneKey] = []
@@ -114,7 +109,7 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
         d = x[None, :] - c0
         norms = np.einsum("ij,jk,ik->i", d, gram, d)
         members: set[int] = set()
-        for row in np.flatnonzero(norms == minn):
+        for row in np.flatnonzero(norms == 2):
             dd = d[row]
             xp = c0[row]
             two_p = int(2 * (xp @ gram @ dd) + dd @ gram @ dd)
@@ -199,9 +194,9 @@ def _kissing_formula(fid: FamilyId | None) -> int | None:
 
 
 def eval_boundary_batch(
-    f: BoundaryFunction, Yt: np.ndarray, chunk: int = 20_000
+    f: BoundaryFunction, Yt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized f evaluation.
+    """Vectorized f evaluation, EVAL_ROWS points per block.
 
     Returns (values, active membership ids). The active id is the argmin-of-
     argmax membership; numpy's first-minimum/first-maximum rule realizes the
@@ -214,8 +209,8 @@ def eval_boundary_batch(
     act = np.empty(N, dtype=np.int64)
     slices = f._memb_slices
     memb_plane = f.memberships[:, 1]
-    for lo in range(0, N, chunk):
-        block = Yt[lo : lo + chunk]
+    for lo in range(0, N, EVAL_ROWS):
+        block = Yt[lo : lo + EVAL_ROWS]
         H = block @ f.A.T + f.c  # (N, P) piece values per plane
         Hm = H[:, memb_plane]  # (N, Pm) per membership
         gmax = np.empty((block.shape[0], len(slices)))
@@ -225,15 +220,9 @@ def eval_boundary_batch(
             garg[:, g] = sub.argmax(axis=1) + s
             gmax[:, g] = np.take_along_axis(sub, (garg[:, g] - s)[:, None], 1)[:, 0]
         gmin = gmax.argmin(axis=1)
-        vals[lo : lo + chunk] = np.take_along_axis(gmax, gmin[:, None], 1)[:, 0]
-        act[lo : lo + chunk] = np.take_along_axis(garg, gmin[:, None], 1)[:, 0]
+        vals[lo : lo + EVAL_ROWS] = np.take_along_axis(gmax, gmin[:, None], 1)[:, 0]
+        act[lo : lo + EVAL_ROWS] = np.take_along_axis(garg, gmin[:, None], 1)[:, 0]
     return vals, act
-
-
-def eval_boundary(f: BoundaryFunction, yt: np.ndarray) -> tuple[float, int]:
-    """Scalar f(ytilde) plus the active membership id."""
-    vals, act = eval_boundary_batch(f, np.asarray(yt, dtype=float)[None, :])
-    return float(vals[0]), int(act[0])
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +284,23 @@ def count_pieces_sampled(
     f: BoundaryFunction,
     grid_density: int = 60,
     seed: int = 0,
-    budget: int = 200_000,
 ) -> int:
     """Distinct active membership ids over a dense sample of the D(B) interior.
 
-    Uses a regular grid for n - 1 <= 3 and seeded uniform samples above that
-    (the grid would explode combinatorially). Always <= the oracle count.
+    Uses a regular grid for n - 1 <= 3 and at most SAMPLE_BUDGET seeded
+    uniform samples above that (the grid would explode combinatorially).
+    Always <= the oracle count.
     """
     if grid_density < 10:
         raise DomainError("grid_density must be >= 10")
-    Yt = _domain_cloud(basis, grid_density, seed, budget)
+    Yt = _domain_cloud(basis, grid_density, seed)
     _, act = eval_boundary_batch(f, Yt)
     return int(np.unique(act).size)
 
 
-def _domain_cloud(
-    basis: OrientedBasis, grid_density: int, seed: int, budget: int
-) -> np.ndarray:
+def _domain_cloud(basis: OrientedBasis, grid_density: int, seed: int) -> np.ndarray:
     """D(B) points: the bbox grid masked by domain_contains at n <= 4 (exact,
-    pinned counts), else min(grid_density^d, budget) exact sample_domain points."""
+    pinned counts), else min(grid_density^d, SAMPLE_BUDGET) sample_domain points."""
     d = basis.n - 1
     if d == 0:
         return np.zeros((1, 0))
@@ -322,27 +309,14 @@ def _domain_cloud(
         axes = [np.linspace(lo[j], hi[j], grid_density) for j in range(d)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         return mesh[lat.domain_contains(basis, mesh)]
-    count = min(grid_density ** d, budget)
+    count = min(grid_density ** d, SAMPLE_BUDGET)
     return lat.sample_domain(basis, seed, count)
-
-
-def decode_bit(
-    f: BoundaryFunction, basis: OrientedBasis, y: np.ndarray, tol: float = DECODE_TOL
-) -> int | None:
-    """Decode z_1 of y in P(B): 1 above f, 0 below, None inside the tol band."""
-    y = np.asarray(y, dtype=float)
-    val, _ = eval_boundary(f, y[1:])
-    if y[0] > val + tol:
-        return 1
-    if y[0] < val - tol:
-        return 0
-    return None
 
 
 def decode_bit_batch(
     f: BoundaryFunction, Y: np.ndarray, tol: float = DECODE_TOL
 ) -> np.ndarray:
-    """Vectorized decode_bit: int8 array with -1 for boundary-ambiguous."""
+    """Decode z_1 of each y in P(B): 1 above f, 0 below, -1 inside the tol band."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     vals, _ = eval_boundary_batch(f, Y[:, 1:])
     out = np.full(Y.shape[0], -1, dtype=np.int8)

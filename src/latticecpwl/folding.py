@@ -40,11 +40,7 @@ class FoldStep:
 
 @dataclass(frozen=True)
 class FoldingSchedule:
-    fid: lat.FamilyId | None
     steps: tuple[FoldStep, ...]
-    # integer direction rows gram @ (e_j - e_k), one per step, for exact
-    # corner-side tests
-    dirs: np.ndarray
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -76,26 +72,18 @@ def build_schedule(fid: lat.FamilyId, basis: lat.OrientedBasis) -> FoldingSchedu
         raise ConstructionError(
             f"basis rank {basis.n} does not match family rank {fid.n}"
         )
-    pairs = _schedule_pairs(fid)
-    gram = np.asarray(basis.gram)
     steps = []
-    dirs = np.zeros((len(pairs), fid.n), dtype=np.int64)
-    for i, (j, k) in enumerate(pairs):
+    for j, k in _schedule_pairs(fid):
         full = basis.G[j - 1] - basis.G[k - 1]
         if full[0] != 0.0:
             raise ConstructionError(
                 f"bisector normal for pair ({j},{k}) has nonzero first "
                 f"coordinate {full[0]!r}"
             )
-        steps.append(FoldStep(j=j, k=k, v=full[1:].copy()))
-        e = np.zeros(fid.n, dtype=np.int64)
-        e[j - 1], e[k - 1] = 1, -1
-        dirs[i] = gram @ e
-    sched = FoldingSchedule(fid=fid, steps=tuple(steps), dirs=dirs)
-    for s in sched.steps:
-        s.v.setflags(write=False)
-    dirs.setflags(write=False)
-    return sched
+        v = full[1:].copy()
+        v.setflags(write=False)
+        steps.append(FoldStep(j=j, k=k, v=v))
+    return FoldingSchedule(steps=tuple(steps))
 
 
 def apply_fold(schedule: FoldingSchedule, Yt: np.ndarray) -> np.ndarray:
@@ -110,7 +98,7 @@ def apply_fold(schedule: FoldingSchedule, Yt: np.ndarray) -> np.ndarray:
     out = arr.reshape(1, -1).copy() if single else arr.copy()
     if not schedule.steps:
         return out[0] if single else out
-    n = schedule.dirs.shape[1]
+    n = out.shape[1] + 1  # basis rank
     for _ in range(n * n):
         moved = False
         for step in schedule.steps:
@@ -207,16 +195,16 @@ def _pair_groups(f: bnd.BoundaryFunction) -> np.ndarray:
 
 def surviving_pairs(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.ndarray:
     """Mask over pair rows: both endpoints on the non-negative side of every
-    schedule hyperplane, tested exactly in integers."""
+    schedule hyperplane, tested exactly in integers.
+
+    Corner z lies on the non-negative side of step (j, k) iff
+    z gram (e_j - e_k) >= 0, so the integer rows are gram[j] - gram[k].
+    """
     if not schedule.steps:
         return np.ones(f.pair_plane.shape[0], dtype=bool)
-    if schedule.dirs.shape[0] != len(schedule.steps):
-        raise ConstructionError(
-            "schedule lacks exact direction rows; rebuild it with a basis"
-        )
-    sx = f.pair_x @ schedule.dirs.T
-    sxp = f.pair_xp @ schedule.dirs.T
-    return (sx >= 0).all(axis=1) & (sxp >= 0).all(axis=1)
+    gram = np.asarray(f.basis.gram)
+    rows = np.array([gram[s.j - 1] - gram[s.k - 1] for s in schedule.steps])
+    return ((f.pair_x @ rows.T >= 0) & (f.pair_xp @ rows.T >= 0)).all(axis=1)
 
 
 def folded_structure(f: bnd.BoundaryFunction, schedule: FoldingSchedule):
@@ -365,25 +353,11 @@ def schedule_to_json(schedule: FoldingSchedule) -> str:
     return json.dumps(rows, indent=2)
 
 
-def schedule_from_json(
-    text: str, basis: lat.OrientedBasis | None = None
-) -> FoldingSchedule:
-    """Parse an exported schedule. With a basis, the exact integer direction
-    rows are recomputed; without one the schedule supports apply_fold only."""
-    rows = json.loads(text)
+def schedule_from_json(text: str) -> FoldingSchedule:
+    """Parse an exported schedule (inverse of schedule_to_json)."""
     steps = []
-    for row in rows:
+    for row in json.loads(text):
         v = np.array([float(c) for c in row["v"]])
         v.setflags(write=False)
         steps.append(FoldStep(j=int(row["j"]), k=int(row["k"]), v=v))
-    if basis is not None:
-        gram = np.asarray(basis.gram)
-        dirs = np.zeros((len(steps), basis.n), dtype=np.int64)
-        for i, s in enumerate(steps):
-            e = np.zeros(basis.n, dtype=np.int64)
-            e[s.j - 1], e[s.k - 1] = 1, -1
-            dirs[i] = gram @ e
-    else:
-        dirs = np.zeros((0, 0), dtype=np.int64)
-    dirs.setflags(write=False)
-    return FoldingSchedule(fid=basis.fid if basis else None, steps=tuple(steps), dirs=dirs)
+    return FoldingSchedule(steps=tuple(steps))

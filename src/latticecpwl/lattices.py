@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, FactorizationError, InternalCheckError, ResourceError
+from .errors import (
+    ConstructionError,
+    DomainError,
+    FactorizationError,
+    InternalCheckError,
+    ResourceError,
+)
 
 FAMILY_AN = "an"
 FAMILY_DN_CONST_A = "dn-const-a"
@@ -36,6 +41,8 @@ CORNER_CAP = 20
 GEOM_TOL = 1e-9
 FIRST_COORD_TOL = 1e-12
 BOX_BUDGET = 2_000_000
+# query rows per block of cvp_corners_batch
+CVP_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -188,29 +195,12 @@ def enumerate_corners(basis: OrientedBasis) -> CornerSet:
     )
 
 
-def minimal_squared_norm(basis: OrientedBasis) -> float:
-    """Minimal nonzero squared norm of the lattice.
-
-    For the integer Gram matrices used here every squared norm is an even
-    integer (z gram z^T = sum z_i^2 gram_ii + 2 sum_{i<j} ...), and each family
-    has a diagonal entry equal to 2, so the minimum is exactly 2. We still
-    compute it from the r=1 box to keep the value tied to the input.
-    """
-    n = basis.n
-    z = np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=np.int64)
-    norms = np.einsum("ij,jk,ik->i", z, basis.gram.astype(np.float64), z)
-    pos = norms[norms > GEOM_TOL]
-    if pos.size == 0:
-        raise InternalCheckError("no nonzero vector found in the r=1 box")
-    return float(pos.min())
-
-
 def _box_vectors(n: int, r: int) -> np.ndarray:
     """All integer vectors in [-r, r]^n, materialized in blocks along axis 0."""
     side = 2 * r + 1
     if side**n > 50_000_000:
         raise ResourceError(f"box enumeration (2r+1)^n = {side**n} too large")
-    grid = np.indices((side,) * n).reshape(n, -1).T - r
+    grid = np.indices((side,) * n).reshape(n, side**n).T - r
     return grid.astype(np.int64)
 
 
@@ -220,87 +210,53 @@ def relevant_vectors(basis: OrientedBasis, r: int = 3) -> tuple[np.ndarray, np.n
     For root lattices the Voronoi-relevant vectors are exactly this shell, and
     its size is the kissing number. Returns (Z, X) with X = Z G.
 
-    The n = 8, r = 4 case is chunked along the first coordinate to keep memory
-    at a few hundred MB.
+    The box is enumerated in 2r + 1 blocks along the first coordinate to keep
+    memory at a few hundred MB at n = 8, r = 4.
     """
-    n = basis.n
-    gram = basis.gram.astype(np.int64) if basis.gram_is_integral else None
-    side = 2 * r + 1
-    total = side**n
-
-    def norms_of(zblock: np.ndarray) -> np.ndarray:
-        if gram is not None:
-            return np.einsum("ij,jk,ik->i", zblock, gram, zblock)
-        g = basis.gram.astype(float)
-        return np.einsum("ij,jk,ik->i", zblock, g, zblock)
-
-    if total <= 8_000_000:
-        Z = _box_vectors(n, r)
-        norms = norms_of(Z)
-        pos = norms > (GEOM_TOL if gram is None else 0)
+    if not basis.gram_is_integral:
+        raise ConstructionError("shell enumeration needs an integer gram matrix")
+    gram = basis.gram.astype(np.int64)
+    tail = _box_vectors(basis.n - 1, r)
+    minn = None
+    blocks: list[np.ndarray] = []
+    for a in range(-r, r + 1):
+        zblock = np.concatenate(
+            [np.full((tail.shape[0], 1), a, dtype=np.int64), tail], axis=1
+        )
+        norms = np.einsum("ij,jk,ik->i", zblock, gram, zblock)
+        pos = norms > 0
         if not pos.any():
-            raise InternalCheckError("empty shell: no nonzero vectors enumerated")
-        minn = norms[pos].min()
-        if gram is not None:
-            keep = pos & (norms == minn)
-        else:
-            keep = pos & (norms <= minn + GEOM_TOL)
-        Z = Z[keep]
-    else:
-        tail = _box_vectors(n - 1, r)
-        minn = None
-        blocks: list[np.ndarray] = []
-        for a in range(-r, r + 1):
-            zblock = np.concatenate(
-                [np.full((tail.shape[0], 1), a, dtype=np.int64), tail], axis=1
-            )
-            norms = norms_of(zblock)
-            pos = norms > 0
-            if not pos.any():
-                continue
-            bmin = norms[pos].min()
-            if minn is None or bmin < minn:
-                minn = bmin
-                blocks = [zblock[pos & (norms == bmin)]]
-            elif bmin == minn:
-                blocks.append(zblock[pos & (norms == bmin)])
-        if minn is None:
-            raise InternalCheckError("empty shell: no nonzero vectors enumerated")
-        Z = np.concatenate(blocks, axis=0)
+            continue
+        bmin = norms[pos].min()
+        if minn is None or bmin < minn:
+            minn = bmin
+            blocks = [zblock[pos & (norms == bmin)]]
+        elif bmin == minn:
+            blocks.append(zblock[pos & (norms == bmin)])
+    if minn is None:
+        raise InternalCheckError("empty shell: no nonzero vectors enumerated")
+    Z = np.concatenate(blocks, axis=0)
     # canonical order for reproducibility
     order = np.lexsort(Z.T[::-1])
     Z = Z[order]
     return Z, Z @ basis.G
 
 
-def cvp_corners(basis: OrientedBasis, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest corner of P(B) to y; ties broken by lexicographically smallest z.
-
-    Returns (z, x). The corner list is generated in lexicographic z order and
-    argmin takes the first minimum, which realizes the tie-break.
-    """
-    corners = enumerate_corners(basis)
-    d2 = ((corners.x - np.asarray(y, dtype=float)) ** 2).sum(axis=1)
-    row = int(np.flatnonzero(d2 == d2.min())[0])
-    return corners.z[row].copy(), corners.x[row].copy()
-
-
-def cvp_corners_batch(
-    basis: OrientedBasis, Y: np.ndarray, chunk: int = 4096
-) -> np.ndarray:
+def cvp_corners_batch(basis: OrientedBasis, Y: np.ndarray) -> np.ndarray:
     """Row indices into the lexicographic corner list of the nearest corner.
 
-    Chunked so that n = 16 stays within memory; callers map rows to z via
-    enumerate_corners(basis).z[rows].
+    Ties go to the lexicographically smallest z: argmin takes the first
+    minimum. Chunked by CVP_ROWS so that n = 16 stays within memory; callers
+    map rows to z via enumerate_corners(basis).z[rows].
     """
     corners = enumerate_corners(basis)
     X = corners.x
     x2 = (X**2).sum(axis=1)
     out = np.empty(Y.shape[0], dtype=np.int64)
-    for lo in range(0, Y.shape[0], chunk):
-        block = Y[lo : lo + chunk]
+    for lo in range(0, Y.shape[0], CVP_ROWS):
+        block = Y[lo : lo + CVP_ROWS]
         d2 = x2[None, :] - 2.0 * (block @ X.T)
-        out[lo : lo + chunk] = d2.argmin(axis=1)
+        out[lo : lo + CVP_ROWS] = d2.argmin(axis=1)
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from latticecpwl import boundary as bd
 from latticecpwl import lattices as lat
+from latticecpwl.errors import ConstructionError
 from latticecpwl.lattices import FamilyId
 
 # closed-form piece counts, frozen from independent evaluation of the sums
@@ -25,20 +26,36 @@ def a3():
     return basis, bd.build_boundary(basis)
 
 
+def neighbors(f, x):
+    """C^0 endpoints of the neighbor pairs whose C^1 endpoint is x."""
+    pairs = zip(f.pair_x.tolist(), f.pair_xp.tolist())
+    return {tuple(xp) for px, xp in pairs if tuple(px) == x}
+
+
 def test_neighbors_a2_b1():
-    basis = lat.build_basis(FamilyId("an", 2))
-    got = {tuple(z) for z in bd.neighbors_in_c0(basis, np.array([1, 0]))}
-    assert got == {(0, 0), (0, 1)}
+    f = bd.build_boundary(lat.build_basis(FamilyId("an", 2)))
+    assert neighbors(f, (1, 0)) == {(0, 0), (0, 1)}
 
 
 def test_neighbors_dn_second_examples():
-    basis = lat.build_basis(FamilyId("dn-second", 3))
+    f = bd.build_boundary(lat.build_basis(FamilyId("dn-second", 3)))
     # b_1: perpendicular b_2 is excluded
-    got = {tuple(z) for z in bd.neighbors_in_c0(basis, np.array([1, 0, 0]))}
-    assert got == {(0, 0, 0), (0, 0, 1)}
+    assert neighbors(f, (1, 0, 0)) == {(0, 0, 0), (0, 0, 1)}
     # b_1 + b_2: three neighbors
-    got = {tuple(z) for z in bd.neighbors_in_c0(basis, np.array([1, 1, 0]))}
-    assert got == {(0, 1, 0), (0, 1, 1), (0, 0, 1)}
+    assert neighbors(f, (1, 1, 0)) == {(0, 1, 0), (0, 1, 1), (0, 0, 1)}
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        np.eye(3, dtype=np.int64),  # odd diagonal
+        2 * (np.ones((3, 3), dtype=np.int64) + np.eye(3, dtype=np.int64)),  # minimum 4
+    ],
+    ids=["odd-diagonal", "diagonal-min-4"],
+)
+def test_build_boundary_rejects_gram_without_norm_two_diagonal(gram):
+    with pytest.raises(ConstructionError):
+        bd.build_boundary(lat.orient_basis(gram))
 
 
 def test_build_boundary_a2_groups():
@@ -263,12 +280,11 @@ def test_piece_connectivity_small_n():
 
 def test_decode_bit_examples(a3):
     basis, f = a3
-    assert bd.decode_bit(f, basis, basis.G[0]) == 1
-    assert bd.decode_bit(f, basis, np.zeros(3)) == 0
-    # a point exactly on the boundary is ambiguous
+    # b_1 decodes to 1, the origin to 0, a point exactly on the boundary is ambiguous
     yt = lat.sample_domain(basis, seed=8, count=1)[0]
-    val, _ = bd.eval_boundary(f, yt)
-    assert bd.decode_bit(f, basis, np.concatenate([[val], yt])) is None
+    val = bd.eval_boundary_batch(f, yt[None, :])[0][0]
+    Y = np.stack([basis.G[0], np.zeros(3), np.concatenate([[val], yt])])
+    assert bd.decode_bit_batch(f, Y).tolist() == [1, 0, -1]
 
 
 def test_decode_agrees_with_cvp(a3):

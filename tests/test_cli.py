@@ -110,7 +110,10 @@ def test_synth_depth_accounting(capsys):
 
 def test_eval_outputs_heights(capsys, tmp_path):
     pts = tmp_path / "pts.txt"
-    pts.write_text("0.3 0.2 0.1\n0.0 0.0 0.0\n")
+    # an interior point of D(B) (the projection of (0.3, 0.2, 0.1, 0.4) G) and
+    # the projected corner 0, whose fiber has length zero
+    pts.write_text("0.31754264805429416 0.3265986323710905 0.9899494936611666\n"
+                   "0.0 0.0 0.0\n")
     code, out, _ = run(
         capsys, ["eval", "--family", "an", "--n", "4", "--in", str(pts)]
     )
@@ -118,6 +121,16 @@ def test_eval_outputs_heights(capsys, tmp_path):
     values = [float(line) for line in out.splitlines()]
     assert len(values) == 2
     assert all(np.isfinite(values))
+
+
+def test_eval_outside_domain_exits_2(capsys, tmp_path):
+    # fiber length of (0.3, 0.2, 0.1) through P(B) is -0.436 for an, n = 4
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.0 0.0 0.0\n\n0.3 0.2 0.1\n")
+    code, out, err = run(capsys, ["eval", "--family", "an", "--n", "4", "--in", str(pts)])
+    assert code == 2
+    assert out == ""
+    assert f"{pts}: line 3 lies outside D(B)" in err
 
 
 def test_eval_wrong_dimension_exits_2(capsys, tmp_path):
@@ -279,6 +292,21 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["gram"] == [[2, 1], [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--family", "an", "--n", "2", "--seed", "1"],
+        ["eval", "--family", "an", "--n", "4", "--in", "pts.txt", "--samples", "5"],
+        ["synth", "--family", "an", "--n", "3", "--format", "json"],
+    ],
+    ids=["basis-seed", "eval-samples", "synth-format"],
+)
+def test_flags_a_command_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_unknown_family_rejected_by_parser(capsys):

@@ -271,9 +271,19 @@ def test_schedule_json_round_trip():
     text = fo.schedule_to_json(sched)
     rows = json.loads(text)
     assert [(r["j"], r["k"]) for r in rows] == [(s.j, s.k) for s in sched.steps]
-    back = fo.schedule_from_json(text, basis)
+    back = fo.schedule_from_json(text)
     assert len(back) == len(sched)
     for a, b in zip(back.steps, sched.steps):
         assert (a.j, a.k) == (b.j, b.k)
         assert np.array_equal(a.v, b.v)
-    assert np.array_equal(back.dirs, sched.dirs)
+
+
+@pytest.mark.parametrize("family,n", [("an", 4), ("dn-second", 5), ("en", 7)])
+def test_schedule_from_json_folds_like_the_original(family, n):
+    # the parsed schedule needs no basis: apply_fold and folded_structure
+    # take everything from the points and from f
+    _, basis, f, sched = make(family, n)
+    back = fo.schedule_from_json(fo.schedule_to_json(sched))
+    Yt = lat.sample_domain(basis, seed=5, count=2000)
+    assert fo.apply_fold(back, Yt).tobytes() == fo.apply_fold(sched, Yt).tobytes()
+    assert fo.folded_structure(f, back) == fo.folded_structure(f, sched)

@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from latticecpwl import lattices as lat
-from latticecpwl.errors import DomainError, FactorizationError, ResourceError
+from latticecpwl.errors import (
+    ConstructionError,
+    DomainError,
+    FactorizationError,
+    ResourceError,
+)
 
 # kissing numbers of the four families (known values for root lattices)
 KISSING = {
+    ("an", 1): 2,
     ("an", 2): 6,
     ("an", 3): 12,
     ("an", 4): 20,
@@ -161,30 +167,38 @@ def test_shell_stable_r3_to_r4(family, n):
     assert np.array_equal(Z3, Z4)
 
 
-def test_minimal_norm_is_two_everywhere():
+def test_shell_norm_is_two_everywhere():
+    # build_boundary takes the shell norm 2 from the Gram; check it by enumeration
     for fid in all_family_instances():
         basis = lat.build_basis(fid)
-        assert lat.minimal_squared_norm(basis) == 2.0
+        Z, _ = lat.relevant_vectors(basis, r=2)
+        norms = np.einsum("ij,jk,ik->i", Z, basis.gram, Z)
+        assert Z.shape[0] > 0 and np.all(norms == 2), fid
+
+
+def test_relevant_vectors_rejects_non_integer_gram():
+    basis = lat.orient_basis(np.array([[2.0, 0.5], [0.5, 2.0]]))
+    with pytest.raises(ConstructionError):
+        lat.relevant_vectors(basis)
+
+
+def nearest_corner_z(basis, Y):
+    rows = lat.cvp_corners_batch(basis, np.atleast_2d(Y))
+    return lat.enumerate_corners(basis).z[rows].tolist()
 
 
 def test_cvp_corners_examples():
     basis = lat.build_basis(lat.FamilyId("an", 3))
-    z, x = lat.cvp_corners(basis, np.zeros(3))
-    assert z.tolist() == [0, 0, 0]
-    z, _ = lat.cvp_corners(basis, basis.G[0])
-    assert z.tolist() == [1, 0, 0]
-    # midpoint of b_1 and 0, nudged towards b_1
-    y = 0.51 * basis.G[0]
-    z, _ = lat.cvp_corners(basis, y)
-    assert z.tolist() == [1, 0, 0]
+    # the origin, b_1, and the midpoint of b_1 and 0 nudged towards b_1
+    Y = np.stack([np.zeros(3), basis.G[0], 0.51 * basis.G[0]])
+    assert nearest_corner_z(basis, Y) == [[0, 0, 0], [1, 0, 0], [1, 0, 0]]
 
 
 def test_cvp_corners_tie_break_lex():
     # equidistant between corner 0 and corner b_2: lex-smallest z wins
     basis = lat.build_basis(lat.FamilyId("an", 2))
     y = basis.G[1] / 2
-    z, _ = lat.cvp_corners(basis, y)
-    assert z.tolist() == [0, 0]
+    assert nearest_corner_z(basis, y) == [[0, 0]]
 
 
 def test_cvp_box_matches_corners_on_parallelotope():
