@@ -35,9 +35,12 @@ class BoundaryFunction:
     """Evaluation structure for f(ytilde) = min_groups max_members h_j(ytilde).
 
     Planes are deduplicated by exact integer keys; groups are deduplicated as
-    whole sets. Membership m is the pair (group g, plane p) laid out in
-    (g, p) order, and eval reports the active membership id, so distinct
-    active ids over the domain count pieces.
+    whole sets. Row m of `memberships` is the pair (group g, plane p), laid
+    out in (g, p) order, so each group's rows are contiguous; eval reports
+    the active membership id, so distinct active ids over the domain count
+    pieces. `pair_memb` holds the membership of each neighbor pair (the group
+    of its C^1 endpoint, the plane of its bisector); every membership has at
+    least one pair.
     """
 
     basis: OrientedBasis
@@ -50,25 +53,12 @@ class BoundaryFunction:
     group_corner_z: tuple[tuple[tuple[int, ...], ...], ...]  # corners sharing each group
     pair_x: np.ndarray  # (Np, n) int, C^1 endpoint of each neighbor pair
     pair_xp: np.ndarray  # (Np, n) int, C^0 endpoint
-    pair_plane: np.ndarray  # (Np,) plane id per pair
+    memberships: np.ndarray  # (Pm, 2) int, (group id, plane id) in (g, p) order
+    pair_memb: np.ndarray  # (Np,) membership id per pair
 
     @property
     def n(self) -> int:
         return self.basis.n
-
-    @cached_property
-    def memberships(self) -> np.ndarray:
-        """(Pm, 2) array of (group id, plane id) in canonical order."""
-        rows = [(g, pid) for g, planes in enumerate(self.group_planes) for pid in planes]
-        return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-
-    @cached_property
-    def _memb_slices(self) -> list[tuple[int, int]]:
-        out, start = [], 0
-        for planes in self.group_planes:
-            out.append((start, start + len(planes)))
-            start += len(planes)
-        return out
 
     @cached_property
     def lipschitz_bound(self) -> float:
@@ -103,6 +93,7 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
     pair_x: list[np.ndarray] = []
     pair_xp: list[np.ndarray] = []
     pair_plane: list[int] = []
+    pair_corner: list[int] = []  # index into corner_groups
     corner_groups: list[tuple[tuple[int, ...], frozenset[int]]] = []
 
     for x in c1:
@@ -123,6 +114,7 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
             pair_x.append(x.copy())
             pair_xp.append(xp.copy())
             pair_plane.append(pid)
+            pair_corner.append(len(corner_groups))
         if members:
             corner_groups.append((tuple(int(v) for v in x), frozenset(members)))
 
@@ -133,6 +125,14 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
     group_items = sorted(merged.items(), key=lambda kv: tuple(sorted(kv[0])))
     group_planes = tuple(tuple(sorted(g)) for g, _ in group_items)
     group_corner_z = tuple(tuple(sorted(zs)) for _, zs in group_items)
+    # a pair's membership is (the merged group of its C^1 corner, its plane)
+    group_of = {g: gi for gi, (g, _) in enumerate(group_items)}
+    memb_rows = [(gi, pid) for gi, planes in enumerate(group_planes) for pid in planes]
+    memb_of = {row: m for m, row in enumerate(memb_rows)}
+    pair_memb = [
+        memb_of[group_of[corner_groups[ci][1]], pid]
+        for ci, pid in zip(pair_corner, pair_plane)
+    ]
 
     V = np.array([np.asarray(k[0], dtype=float) @ basis.G for k in keys]).reshape(-1, n)
     p = np.array([k[1] / 2.0 for k in keys])
@@ -156,7 +156,8 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
         group_corner_z=group_corner_z,
         pair_x=np.asarray(pair_x, dtype=np.int64).reshape(-1, n),
         pair_xp=np.asarray(pair_xp, dtype=np.int64).reshape(-1, n),
-        pair_plane=np.asarray(pair_plane, dtype=np.int64),
+        memberships=np.asarray(memb_rows, dtype=np.int64).reshape(-1, 2),
+        pair_memb=np.asarray(pair_memb, dtype=np.int64),
     )
     _check_boundary(f)
     return f
@@ -166,8 +167,8 @@ def _check_boundary(f: BoundaryFunction) -> None:
     """Construction-time invariants: midpoints on planes, corners above caps."""
     basis = f.basis
     mid = (f.pair_x + f.pair_xp) @ basis.G / 2.0
-    v = f.V[f.pair_plane]
-    resid = np.abs((mid * v).sum(axis=1) - f.p[f.pair_plane])
+    pair_plane = f.memberships[f.pair_memb, 1]
+    resid = np.abs((mid * f.V[pair_plane]).sum(axis=1) - f.p[pair_plane])
     if resid.size and resid.max() > 1e-9:
         raise InternalCheckError(f"bisector misses pair midpoint by {resid.max():.2e}")
     kiss = _kissing_formula(basis.fid)
@@ -201,27 +202,25 @@ def eval_boundary_batch(
     Returns (values, active membership ids). The active id is the argmin-of-
     argmax membership; numpy's first-minimum/first-maximum rule realizes the
     smallest-id tie-break because memberships are laid out in (group, plane)
-    order with plane ids ascending.
+    order with plane ids ascending. The per-group argmax runs over a
+    (groups x largest group) plane table padded with each group's first
+    plane, so a padded slot never wins a tie.
     """
     Yt = np.atleast_2d(np.asarray(Yt, dtype=float))
-    N = Yt.shape[0]
-    vals = np.empty(N)
-    act = np.empty(N, dtype=np.int64)
-    slices = f._memb_slices
-    memb_plane = f.memberships[:, 1]
-    for lo in range(0, N, EVAL_ROWS):
-        block = Yt[lo : lo + EVAL_ROWS]
-        H = block @ f.A.T + f.c  # (N, P) piece values per plane
-        Hm = H[:, memb_plane]  # (N, Pm) per membership
-        gmax = np.empty((block.shape[0], len(slices)))
-        garg = np.empty((block.shape[0], len(slices)), dtype=np.int64)
-        for g, (s, e) in enumerate(slices):
-            sub = Hm[:, s:e]
-            garg[:, g] = sub.argmax(axis=1) + s
-            gmax[:, g] = np.take_along_axis(sub, (garg[:, g] - s)[:, None], 1)[:, 0]
+    group, plane = f.memberships.T
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    rank = np.arange(len(group)) - starts[group]
+    table = np.repeat(plane[starts, None], rank.max() + 1, axis=1)
+    table[group, rank] = plane
+    vals = np.empty(Yt.shape[0])
+    act = np.empty(Yt.shape[0], dtype=np.int64)
+    for lo in range(0, Yt.shape[0], EVAL_ROWS):
+        H = Yt[lo : lo + EVAL_ROWS] @ f.A.T + f.c  # (N, P) piece values per plane
+        gmax = np.maximum.reduceat(H[:, plane], starts, axis=1)  # (N, groups)
         gmin = gmax.argmin(axis=1)
-        vals[lo : lo + EVAL_ROWS] = np.take_along_axis(gmax, gmin[:, None], 1)[:, 0]
-        act[lo : lo + EVAL_ROWS] = np.take_along_axis(garg, gmin[:, None], 1)[:, 0]
+        rows = np.arange(len(gmin))
+        vals[lo : lo + EVAL_ROWS] = gmax[rows, gmin]
+        act[lo : lo + EVAL_ROWS] = starts[gmin] + H[rows[:, None], table[gmin]].argmax(axis=1)
     return vals, act
 
 
@@ -276,7 +275,7 @@ def en_formula_readings(n: int) -> dict[str, int]:
 
 def count_pieces_oracle(f: BoundaryFunction) -> int:
     """Piece count by pair enumeration: total memberships of the merged groups."""
-    return sum(len(planes) for planes in f.group_planes)
+    return len(f.memberships)
 
 
 def count_pieces_sampled(
@@ -362,10 +361,8 @@ def piece_count_report(
 
 def boundary_to_json(f: BoundaryFunction) -> str:
     """Export the grouped hyperplanes as a JSON list of {v, p, group}."""
-    rows = []
-    for g, planes in enumerate(f.group_planes):
-        for pid in planes:
-            rows.append(
-                {"v": [float(x) for x in f.V[pid]], "p": float(f.p[pid]), "group": g}
-            )
+    rows = [
+        {"v": [float(x) for x in f.V[pid]], "p": float(f.p[pid]), "group": int(g)}
+        for g, pid in f.memberships
+    ]
     return json.dumps(rows, indent=2)

@@ -44,17 +44,19 @@ def _read_points(path: str, expect_dim: int) -> tuple[np.ndarray, list[int]]:
             raw = [line.split() for line in fh]
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
+    lines = [k for k, row in enumerate(raw, 1) if row]
+    rows = [row for row in raw if row]
+    if not rows:
+        raise DomainError(f"{path} contains no points")
+    for k, row in zip(lines, rows):
+        if len(row) != expect_dim:
+            raise DomainError(
+                f"{path}: line {k} has {len(row)} coordinates, expected {expect_dim}"
+            )
     try:
-        pts = np.array([[float(tok) for tok in row] for row in raw if row], dtype=float)
+        pts = np.array([[float(tok) for tok in row] for row in rows], dtype=float)
     except ValueError as exc:
         raise DomainError(f"cannot parse {path}: {exc}") from exc
-    if pts.size == 0:
-        raise DomainError(f"{path} contains no points")
-    if pts.shape[1] != expect_dim:
-        raise DomainError(
-            f"{path}: expected {expect_dim} coordinates per line, got {pts.shape[1]}"
-        )
-    lines = [k for k, row in enumerate(raw, 1) if row]
     _reject_rows(path, lines, ~np.isfinite(pts).all(axis=1), "has a non-finite coordinate")
     return pts, lines
 
@@ -151,6 +153,12 @@ def cmd_mc(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_bounds(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
+    given = {"--M": args.M, "--L": args.L, "--w": args.w}
+    missing = [flag for flag, value in given.items() if value is None]
+    if 0 < len(missing) < len(given):
+        raise DomainError(
+            f"separation needs --M, --L and --w together; missing {' and '.join(missing)}"
+        )
     basis = lat.build_basis(fid)
     report = ana.volume_report(basis)
     data: dict[str, object] = {
@@ -159,7 +167,7 @@ def cmd_bounds(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
         "volume_lower": report["lower"],
         "volume_upper": report["upper"],
     }
-    if args.L is not None and args.w is not None:
+    if not missing:
         sep = ana.separation_report(fid.n, args.M, args.L, args.w)
         for key in [
             "copies_log2",
@@ -231,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("mc", "Monte Carlo decode-error and L1-gap rows with bounds",
         seed=True, samples=True, fmt=True)
     bounds = add("bounds", "volume sandwich, decoding bound, separation arithmetic", fmt=True)
-    bounds.add_argument("--M", type=int, default=0, help="translation levels for the separation row")
+    bounds.add_argument("--M", type=int, default=None, help="translation levels for the separation row")
     bounds.add_argument("--L", type=int, default=None, help="competitor depth")
     bounds.add_argument("--w", type=int, default=None, help="competitor width")
     return parser

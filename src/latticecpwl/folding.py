@@ -184,15 +184,6 @@ def fold_invariance_report(
     }
 
 
-def _pair_groups(f: bnd.BoundaryFunction) -> np.ndarray:
-    """Group id of each neighbor pair row (via its upper corner)."""
-    corner_group = {}
-    for gi, zs in enumerate(f.group_corner_z):
-        for z in zs:
-            corner_group[tuple(z)] = gi
-    return np.array([corner_group[tuple(z)] for z in f.pair_x], dtype=np.int64)
-
-
 def surviving_pairs(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.ndarray:
     """Mask over pair rows: both endpoints on the non-negative side of every
     schedule hyperplane, tested exactly in integers.
@@ -201,26 +192,23 @@ def surviving_pairs(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.nd
     z gram (e_j - e_k) >= 0, so the integer rows are gram[j] - gram[k].
     """
     if not schedule.steps:
-        return np.ones(f.pair_plane.shape[0], dtype=bool)
+        return np.ones(f.pair_memb.shape[0], dtype=bool)
     gram = np.asarray(f.basis.gram)
     rows = np.array([gram[s.j - 1] - gram[s.k - 1] for s in schedule.steps])
     return ((f.pair_x @ rows.T >= 0) & (f.pair_xp @ rows.T >= 0)).all(axis=1)
 
 
-def folded_structure(f: bnd.BoundaryFunction, schedule: FoldingSchedule):
-    """Surviving memberships, plane ids, and group ids after folding.
+def folded_structure(
+    f: bnd.BoundaryFunction, schedule: FoldingSchedule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Surviving (group, plane) membership rows, plane ids, and group ids after
+    folding, each in ascending order.
 
-    A membership (group, plane) survives when at least one of its neighbor
-    pairs has both endpoints on the non-negative side of all hyperplanes.
+    A membership survives when at least one of its neighbor pairs has both
+    endpoints on the non-negative side of all hyperplanes.
     """
-    mask = surviving_pairs(f, schedule)
-    pg = _pair_groups(f)
-    memberships = sorted(
-        {(int(g), int(p)) for g, p in zip(pg[mask], f.pair_plane[mask])}
-    )
-    planes = sorted({p for _, p in memberships})
-    groups = sorted({g for g, _ in memberships})
-    return memberships, planes, groups
+    memberships = f.memberships[np.unique(f.pair_memb[surviving_pairs(f, schedule)])]
+    return memberships, np.unique(memberships[:, 1]), np.unique(memberships[:, 0])
 
 
 def sample_folded_domain(
@@ -251,15 +239,15 @@ def folded_piece_count_oracle(
     folded-domain samples. Enumeration route: surviving neighbor pairs
     deduplicated by hyperplane. The two must agree exactly.
     """
-    _, planes, _ = folded_structure(f, schedule)
+    planes = set(folded_structure(f, schedule)[1].tolist())
     pts = sample_folded_domain(basis, schedule, seed=seed, count=samples)
     _, act = bnd.eval_boundary_batch(f, pts)
     sampled = set(np.unique(f.memberships[act, 1]).tolist())
-    if sampled != set(planes):
+    if sampled != planes:
         raise InternalCheckError(
             f"folded piece count mismatch: sampled {len(sampled)} hyperplanes, "
-            f"enumeration {len(planes)} (missing {sorted(set(planes) - sampled)}, "
-            f"extra {sorted(sampled - set(planes))}); try more samples"
+            f"enumeration {len(planes)} (missing {sorted(planes - sampled)}, "
+            f"extra {sorted(sampled - planes)}); try more samples"
         )
     return len(planes)
 

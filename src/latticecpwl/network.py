@@ -273,8 +273,8 @@ def synthesize(
         )
     n = basis.n
     d = n - 1
-    memberships, _, groups = fold.folded_structure(f, schedule)
-    sizes = [sum(1 for g, _ in memberships if g == gi) for gi in groups]
+    memberships, _, _ = fold.folded_structure(f, schedule)
+    sizes = np.unique(memberships[:, 0], return_counts=True)[1].tolist()
 
     layers: list[Layer] = []
     for level in range(1, M + 1):
@@ -283,7 +283,7 @@ def synthesize(
     base: list[Layer] = []
     for step in schedule.steps:
         base.extend(reflection_block(step.v, 0.0).layers)
-    plane_rows = [p for _, p in memberships]
+    plane_rows = memberships[:, 1]
     base.append(
         Layer(
             f.A[plane_rows],

@@ -86,7 +86,7 @@ def test_build_boundary_dn_second3_merges_chain_corners():
     basis = lat.build_basis(FamilyId("dn-second", 3))
     f = bd.build_boundary(basis)
     # 7 neighbor pairs, two chain corners share their single bisector
-    assert f.pair_plane.shape[0] == 7
+    assert f.pair_memb.shape[0] == 7
     assert sorted(len(g) for g in f.group_planes) == [1, 2, 3]
     assert bd.count_pieces_oracle(f) == 6
     merged = [zs for zs in f.group_corner_z if len(zs) == 2]
@@ -130,8 +130,8 @@ def test_oracle_matches_formula_small(family, lo, hi):
 def test_bisector_through_midpoint(a3):
     basis, f = a3
     mid = (f.pair_x + f.pair_xp) @ basis.G / 2.0
-    v = f.V[f.pair_plane]
-    resid = np.abs((mid * v).sum(axis=1) - f.p[f.pair_plane])
+    pair_plane = f.memberships[f.pair_memb, 1]
+    resid = np.abs((mid * f.V[pair_plane]).sum(axis=1) - f.p[pair_plane])
     assert resid.max() <= 1e-9
 
 
@@ -200,6 +200,47 @@ def test_eval_active_matches_reference():
             rv, rid = _reference_eval(f, H[i])
             assert vals[i] == rv
             assert act[i] == rid
+
+
+@pytest.mark.parametrize("family", ["an", "en"])
+def test_eval_active_matches_reference_on_ties_at_n8(family):
+    """The same agreement at n = 8 (largest groups of 8 and 56 planes) on
+    exact-tie inputs: every projected corner and every pair midpoint."""
+    basis = lat.build_basis(FamilyId(family, 8))
+    f = bd.build_boundary(basis)
+    corners = lat.enumerate_corners(basis).z @ basis.G
+    mids = (f.pair_x + f.pair_xp) @ basis.G / 2.0
+    Yt = np.vstack([corners, mids])[:, 1:]
+    vals, act = bd.eval_boundary_batch(f, Yt)
+    H = Yt @ f.A.T + f.c
+    for i in range(Yt.shape[0]):
+        rv, rid = _reference_eval(f, H[i])
+        assert vals[i] == rv
+        assert act[i] == rid
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("an", n) for n in range(2, 9)]
+    + [(fam, n) for fam in ("dn-const-a", "dn-second") for n in range(3, 9)]
+    + [("en", n) for n in range(6, 9)],
+)
+def test_pair_memb_matches_corner_and_plane_key(family, n):
+    """Each pair's membership, rebuilt from its upper corner's merged group
+    and its bisector's integer key, is the one build_boundary recorded; every
+    membership has a pair."""
+    basis = lat.build_basis(FamilyId(family, n))
+    f = bd.build_boundary(basis)
+    gram = np.asarray(basis.gram, dtype=np.int64)
+    group_of = {z: g for g, zs in enumerate(f.group_corner_z) for z in zs}
+    plane_of = {key: pid for pid, key in enumerate(f.plane_keys)}
+    expected = []
+    for x, xp in zip(f.pair_x, f.pair_xp):
+        d = x - xp
+        key = (tuple(int(v) for v in d), int(2 * (xp @ gram @ d) + d @ gram @ d))
+        expected.append((group_of[tuple(int(v) for v in x)], plane_of[key]))
+    assert np.array_equal(f.memberships[f.pair_memb], np.array(expected))
+    assert np.array_equal(np.unique(f.pair_memb), np.arange(len(f.memberships)))
 
 
 def test_lipschitz_bound(a3):

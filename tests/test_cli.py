@@ -135,10 +135,13 @@ def test_eval_outside_domain_exits_2(capsys, tmp_path):
 
 def test_eval_wrong_dimension_exits_2(capsys, tmp_path):
     pts = tmp_path / "pts.txt"
-    pts.write_text("0.3 0.2\n")
-    code, _, err = run(capsys, ["eval", "--family", "an", "--n", "4", "--in", str(pts)])
-    assert code == 2
-    assert "expected 3 coordinates" in err
+    # a uniformly short file, and a ragged one whose second row is short
+    for text, line, got in [("0.3 0.2\n", 1, 2), ("0.1 0.2 0.1\n\n0.3 0.2\n", 3, 2)]:
+        pts.write_text(text)
+        code, out, err = run(capsys, ["eval", "--family", "an", "--n", "4", "--in", str(pts)])
+        assert code == 2
+        assert out == ""
+        assert f"{pts}: line {line} has {got} coordinates, expected 3" in err
 
 
 def test_eval_missing_file_exits_2(capsys, tmp_path):
@@ -255,6 +258,23 @@ def test_bounds_condition_failure_exits_1(capsys):
         ["bounds", "--family", "an", "--n", "4", "--M", "10", "--L", "2", "--w", "64"],
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "flags,missing",
+    [
+        (["--L", "2"], "--M and --w"),
+        (["--w", "4"], "--M and --L"),
+        (["--M", "10"], "--L and --w"),
+        (["--M", "10", "--L", "2"], "--w"),
+        (["--L", "2", "--w", "4"], "--M"),
+    ],
+)
+def test_bounds_partial_separation_exits_2(capsys, flags, missing):
+    code, out, err = run(capsys, ["bounds", "--family", "an", "--n", "4"] + flags)
+    assert code == 2
+    assert out == ""
+    assert err.rstrip().endswith(f"missing {missing}")
 
 
 def test_bounds_without_separation_flags(capsys):

@@ -286,4 +286,5 @@ def test_schedule_from_json_folds_like_the_original(family, n):
     back = fo.schedule_from_json(fo.schedule_to_json(sched))
     Yt = lat.sample_domain(basis, seed=5, count=2000)
     assert fo.apply_fold(back, Yt).tobytes() == fo.apply_fold(sched, Yt).tobytes()
-    assert fo.folded_structure(f, back) == fo.folded_structure(f, sched)
+    for a, b in zip(fo.folded_structure(f, back), fo.folded_structure(f, sched)):
+        assert np.array_equal(a, b)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -203,8 +204,8 @@ def test_depth_formula_frozen(family, n, depth):
     basis, f, sched = make(family, n)
     nw = net.synthesize(basis, sched, f, M=0)
     assert nw.meta["depth"] == depth
-    memberships, _, groups = fo.folded_structure(f, sched)
-    sizes = [sum(1 for g, _ in memberships if g == gi) for gi in groups]
+    memberships, _, _ = fo.folded_structure(f, sched)
+    sizes = list(Counter(memberships[:, 0].tolist()).values())
     assert depth == net.base_depth(sched, sizes)
 
 
