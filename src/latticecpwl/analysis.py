@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import boundary as bnd
+from . import folding as fld
 from . import lattices as lat
 from .errors import ConstructionError, DomainError, InternalCheckError
 
@@ -95,8 +95,8 @@ def decoding_error_bound(n: int) -> float:
     return 2.0 ** (-exponent) / math.sqrt(2.0 * math.pi * n)
 
 
-def _fiber_quantities(basis: lat.OrientedBasis, f: bnd.BoundaryFunction, Y):
-    vals, _ = bnd.eval_boundary_batch(f, Y[:, 1:])
+def _fiber_quantities(basis: lat.OrientedBasis, ff: fld.FoldedBoundary, Y):
+    vals = fld.eval_folded_batch(ff, Y[:, 1:])
     lo, hi = lat.fiber_interval_batch(basis, Y[:, 1:])
     ell = hi - lo
     if (ell <= 0).any():
@@ -106,12 +106,13 @@ def _fiber_quantities(basis: lat.OrientedBasis, f: bnd.BoundaryFunction, Y):
 
 def l1_gap_mc(
     basis: lat.OrientedBasis,
-    f: bnd.BoundaryFunction,
+    ff: fld.FoldedBoundary,
     seed: int = 0,
     samples: int = 10_000,
     unit_volume: bool = True,
 ) -> McEstimate:
-    """Gap between the boundary function and the constant mid-height plane.
+    """Gap between the boundary function f, evaluated fold-first through ff,
+    and the constant mid-height plane.
 
     The primary estimate integrates, over the projected domain, the length of
     the first-coordinate fiber segment on which the two disagree as
@@ -125,7 +126,7 @@ def l1_gap_mc(
     det(Gamma)^(-1/2n)); otherwise in the raw coordinates of the basis.
     """
     Y = lat.sample_parallelotope(basis, seed=seed, count=samples)
-    vals, lo, hi, ell = _fiber_quantities(basis, f, Y)
+    vals, lo, hi, ell = _fiber_quantities(basis, ff, Y)
     h = 0.5 * basis.b1_e1
     f_clip = np.clip(vals, lo, hi)
     h_clip = np.clip(h, lo, hi)

@@ -40,7 +40,8 @@ class BoundaryFunction:
     the active membership id, so distinct active ids over the domain count
     pieces. `pair_memb` holds the membership of each neighbor pair (the group
     of its C^1 endpoint, the plane of its bisector); every membership has at
-    least one pair.
+    least one pair. All of it is read by the dense oracle and membership-id
+    route `eval_boundary_batch`; `folding.FoldedBoundary` serves points.
     """
 
     basis: OrientedBasis
@@ -197,7 +198,9 @@ def _kissing_formula(fid: FamilyId | None) -> int | None:
 def eval_boundary_batch(
     f: BoundaryFunction, Yt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized f evaluation, EVAL_ROWS points per block.
+    """Dense f evaluation over every membership, EVAL_ROWS points per block:
+    the oracle of the fold-first `folding.eval_folded_batch`, and the route
+    to membership ids.
 
     Returns (values, active membership ids). The active id is the argmin-of-
     argmax membership; numpy's first-minimum/first-maximum rule realizes the
@@ -312,15 +315,13 @@ def _domain_cloud(basis: OrientedBasis, grid_density: int, seed: int) -> np.ndar
     return lat.sample_domain(basis, seed, count)
 
 
-def decode_bit_batch(
-    f: BoundaryFunction, Y: np.ndarray, tol: float = DECODE_TOL
-) -> np.ndarray:
-    """Decode z_1 of each y in P(B): 1 above f, 0 below, -1 inside the tol band."""
+def decode_bit_batch(Y: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Decode z_1 of each y in P(B) from vals = f(y~): 1 above, 0 below, -1
+    within DECODE_TOL."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    vals, _ = eval_boundary_batch(f, Y[:, 1:])
     out = np.full(Y.shape[0], -1, dtype=np.int8)
-    out[Y[:, 0] > vals + tol] = 1
-    out[Y[:, 0] < vals - tol] = 0
+    out[Y[:, 0] > vals + DECODE_TOL] = 1
+    out[Y[:, 0] < vals - DECODE_TOL] = 0
     return out
 
 

@@ -66,6 +66,11 @@ def _reject_rows(path: str, lines: list[int], bad: np.ndarray, what: str) -> Non
         raise DomainError(f"{path}: line {lines[int(bad.argmax())]} {what}")
 
 
+def _fold_first(basis: lat.OrientedBasis) -> fld.FoldedBoundary:
+    schedule = fld.build_schedule(basis.fid, basis)
+    return fld.build_folded_boundary(bnd.build_boundary(basis), schedule)
+
+
 def cmd_basis(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     basis = lat.build_basis(fid)
     if args.format == "json":
@@ -113,24 +118,24 @@ def cmd_synth(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_eval(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     basis = lat.build_basis(fid)
-    f = bnd.build_boundary(basis)
+    ff = _fold_first(basis)
     pts, lines = _read_points(args.infile, fid.n - 1)
     # closed D(B): projected corners have a zero-length fiber
     lo, hi = lat.fiber_interval_batch(basis, pts)
     _reject_rows(args.infile, lines, hi - lo < -lat.GEOM_TOL, "lies outside D(B)")
-    vals, _ = bnd.eval_boundary_batch(f, pts)
+    vals = fld.eval_folded_batch(ff, pts)
     return 0, "\n".join(repr(float(v)) for v in vals) + "\n"
 
 
 def cmd_decode(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     basis = lat.build_basis(fid)
-    f = bnd.build_boundary(basis)
+    ff = _fold_first(basis)
     pts, _ = _read_points(args.infile, fid.n)
     # reduce into the fundamental parallelotope so arbitrary points decode to
     # the bit of their coset representative
     alpha = pts @ basis.Ginv
     reduced = (alpha - np.floor(alpha)) @ basis.G
-    bits = bnd.decode_bit_batch(f, reduced)
+    bits = bnd.decode_bit_batch(reduced, fld.eval_folded_batch(ff, reduced[:, 1:]))
     symbols = {1: "1", 0: "0", -1: "?"}
     return 0, "\n".join(symbols[int(b)] for b in bits) + "\n"
 
@@ -141,8 +146,7 @@ def cmd_mc(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     dec = ana.hyperplane_decoding_error_mc(basis, seed=args.seed, samples=args.samples)
     rows.append(dict({"kind": "decode_error"}, **ana.mc_report_row(dec, ana.decoding_error_bound(fid.n))))
     if fid.n <= ana.BRUTE_DECODER_MAX_N:
-        f = bnd.build_boundary(basis)
-        l1 = ana.l1_gap_mc(basis, f, seed=args.seed, samples=args.samples)
+        l1 = ana.l1_gap_mc(basis, _fold_first(basis), seed=args.seed, samples=args.samples)
         bound = 2**fid.n / math.factorial(fid.n)
         rows.append(dict({"kind": "l1_gap"}, **ana.mc_report_row(l1, bound)))
     code = 0 if all(r["pass"] for r in rows) else 1

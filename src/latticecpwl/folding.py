@@ -91,7 +91,8 @@ def apply_fold(schedule: FoldingSchedule, Yt: np.ndarray) -> np.ndarray:
 
     Processes reflections in schedule order and re-sweeps until no reflection
     fires; a point already on the non-negative side of all hyperplanes is
-    returned unchanged.
+    returned unchanged. A point within GEOM_TOL of a hyperplane counts as on
+    it, so rounding at ties (corners, pair midpoints) cannot make sweeps cycle.
     """
     arr = np.asarray(Yt, dtype=float)
     single = arr.ndim == 1
@@ -103,7 +104,7 @@ def apply_fold(schedule: FoldingSchedule, Yt: np.ndarray) -> np.ndarray:
         moved = False
         for step in schedule.steps:
             dot = out @ step.v
-            mask = dot < 0.0
+            mask = dot < -lat.GEOM_TOL
             if mask.any():
                 scale = 2.0 / (step.v @ step.v)
                 out[mask] -= np.outer(scale * dot[mask], step.v)
@@ -116,11 +117,12 @@ def apply_fold(schedule: FoldingSchedule, Yt: np.ndarray) -> np.ndarray:
 
 
 def fold_predicate(schedule: FoldingSchedule, Yt: np.ndarray) -> np.ndarray:
-    """Boolean mask: on the non-negative side of all schedule hyperplanes."""
+    """Boolean mask: on the non-negative side of all schedule hyperplanes, up
+    to apply_fold's GEOM_TOL."""
     arr = np.atleast_2d(np.asarray(Yt, dtype=float))
     if not schedule.steps:
         return np.ones(arr.shape[0], dtype=bool)
-    return (arr @ schedule.V.T >= 0.0).all(axis=1)
+    return (arr @ schedule.V.T >= -lat.GEOM_TOL).all(axis=1)
 
 
 def _chunk_sizes(count: int) -> list[int]:
@@ -145,7 +147,9 @@ def verify_fold_invariance(
     seed: int = 0,
     count: int = 10_000,
 ) -> float:
-    """Max |f(y~) - f(F(y~))| over exact D(B) samples from P(B)'s lower facets.
+    """Max |f(y~) - f(F(y~))| over exact D(B) samples from P(B)'s lower facets,
+    with f(y~) dense and f(F(y~)) fold-first on the reflection image, so the
+    two sides take independent routes.
 
     Sampling is split into FOLD_CHUNKS independently seeded chunks evaluated
     by a thread pool (capped by the LATTICE_FOLD_THREADS variable); the merge
@@ -154,12 +158,12 @@ def verify_fold_invariance(
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
 
+    ff = build_folded_boundary(f, schedule)
+
     def run_chunk(i: int, m: int) -> float:
         Yt = lat.sample_domain(basis, seed=(seed, i), count=m)
-        Ft = apply_fold(schedule, Yt)
         a, _ = bnd.eval_boundary_batch(f, Yt)
-        b, _ = bnd.eval_boundary_batch(f, Ft)
-        return float(np.abs(a - b).max())
+        return float(np.abs(a - eval_folded_batch(ff, apply_fold(schedule, Yt))).max())
 
     sizes = _chunk_sizes(count)
     jobs = [(i, m) for i, m in enumerate(sizes) if m > 0]
@@ -209,6 +213,69 @@ def folded_structure(
     """
     memberships = f.memberships[np.unique(f.pair_memb[surviving_pairs(f, schedule)])]
     return memberships, np.unique(memberships[:, 1]), np.unique(memberships[:, 0])
+
+
+@dataclass(frozen=True, eq=False)
+class FoldedBoundary:
+    """f on the folded domain, in the coordinates c = y~ Gt^T (Gt = G[1:, 1:],
+    rows b_2..b_n). Step (j, k) swaps c_j and c_k, so the fold sorts c
+    descending within each block of linked steps, and f is the min over the
+    surviving groups of the max over their pieces c W + bias."""
+
+    Gt: np.ndarray  # (n-1, n-1)
+    blocks: tuple[np.ndarray, ...]  # ascending columns of c per block
+    W: np.ndarray  # (n-1, Pm) = Gt^-T A^T over the surviving memberships
+    bias: np.ndarray  # (Pm,)
+    starts: np.ndarray  # first column of each surviving group
+
+
+def build_folded_boundary(
+    f: bnd.BoundaryFunction, schedule: FoldingSchedule
+) -> FoldedBoundary:
+    """The fold-first evaluator of f. Raises ConstructionError unless each step
+    (j, k), 2 <= j < k <= n, leaves the integer Gram invariant when b_j and
+    b_k trade places (so the reflection is the swap) and each block holds all
+    its pairs (so the fold's fixpoint is the sort)."""
+    gram = np.asarray(f.basis.gram)
+    blocks: list[set[int]] = []
+    for s in schedule.steps:
+        if not 2 <= s.j < s.k <= f.n:
+            raise ConstructionError(f"step ({s.j},{s.k}) is not a pair 2 <= j < k <= {f.n}")
+        swap = np.arange(f.n)
+        swap[[s.j - 1, s.k - 1]] = s.k - 1, s.j - 1
+        if not np.array_equal(gram[np.ix_(swap, swap)], gram):
+            raise ConstructionError(f"step ({s.j},{s.k}) does not swap b_{s.j} and b_{s.k}")
+        linked = [b for b in blocks if s.j in b or s.k in b]
+        blocks = [b for b in blocks if b not in linked] + [{s.j, s.k}.union(*linked)]
+    if len({(s.j, s.k) for s in schedule.steps}) != sum(len(b) * (len(b) - 1) // 2 for b in blocks):
+        raise ConstructionError("a schedule block lacks a pair, so the fold is not a sort")
+    group, plane = folded_structure(f, schedule)[0].T
+    return FoldedBoundary(
+        Gt=f.basis.G[1:, 1:],
+        blocks=tuple(np.array(sorted(b)) - 2 for b in blocks),  # b_j is column j - 2
+        W=f.basis.Ginv[1:, 1:].T @ f.A[plane].T,
+        bias=f.c[plane],
+        starts=np.flatnonzero(np.diff(group, prepend=-1)),
+    )
+
+
+def sort_fold(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
+    """c of each point's fold image: y~ Gt^T sorted descending per block."""
+    C = np.atleast_2d(np.asarray(Yt, dtype=float)) @ ff.Gt.T
+    for blk in ff.blocks:
+        C[:, blk] = -np.sort(-C[:, blk], axis=1)
+    return C
+
+
+def eval_folded_batch(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
+    """f at each point, fold-first: sort, then min over the surviving groups of
+    the max over their pieces, EVAL_ROWS points per block."""
+    C = sort_fold(ff, Yt)
+    vals = np.empty(C.shape[0])
+    for lo in range(0, C.shape[0], bnd.EVAL_ROWS):
+        H = C[lo : lo + bnd.EVAL_ROWS] @ ff.W + ff.bias
+        vals[lo : lo + bnd.EVAL_ROWS] = np.maximum.reduceat(H, ff.starts, axis=1).min(axis=1)
+    return vals
 
 
 def sample_folded_domain(

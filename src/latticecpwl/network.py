@@ -311,6 +311,7 @@ def synthesize(
     meta = {
         "depth": len(all_layers),
         "width": width,
+        "activations": [a for a in ACTIVATIONS if any(a in l.acts for l in all_layers)],
         "provenance": {
             "translation_blocks": M,
             "reflection_blocks": len(schedule),

@@ -241,8 +241,9 @@ def test_criterion_6_decode_bit_oracle_agreement():
     disagreements = 0
     for n in range(2, 11):
         fid, basis, f = make("an", n)
+        ff = fld.build_folded_boundary(f, fld.build_schedule(fid, basis))
         Y = lat.sample_parallelotope(basis, seed=6, count=10_000)
-        bits = bnd.decode_bit_batch(f, Y)
+        bits = bnd.decode_bit_batch(Y, fld.eval_folded_batch(ff, Y[:, 1:]))
         corners = lat.enumerate_corners(basis)
         oracle = corners.z[lat.cvp_corners_batch(basis, Y), 0]
         sure = bits >= 0
@@ -278,7 +279,8 @@ def test_criterion_7_decoding_error_bound(n):
 def test_criterion_8_l1_gap_bound(n):
     t0 = time.perf_counter()
     fid, basis, f = make("an", n)
-    est = ana.l1_gap_mc(basis, f, seed=8, samples=1_000_000)
+    ff = fld.build_folded_boundary(f, fld.build_schedule(fid, basis))
+    est = ana.l1_gap_mc(basis, ff, seed=8, samples=1_000_000)
     bound = 2**n / math.factorial(n)
     exact = float(hyperplane_error_exact(n))
     z = (est.estimate - exact) / est.stderr

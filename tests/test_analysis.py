@@ -9,12 +9,18 @@ import pytest
 
 from latticecpwl import analysis as ana
 from latticecpwl import boundary as bnd
+from latticecpwl import folding as fld
 from latticecpwl import lattices as lat
 from latticecpwl.errors import ConstructionError, DomainError
 
 
 def make(family: str, n: int) -> lat.OrientedBasis:
     return lat.build_basis(lat.FamilyId(family, n))
+
+
+def folded(basis: lat.OrientedBasis) -> fld.FoldedBoundary:
+    schedule = fld.build_schedule(basis.fid, basis)
+    return fld.build_folded_boundary(bnd.build_boundary(basis), schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +137,19 @@ def test_decoding_error_bound_rejects_small_n():
 
 def test_l1_gap_deterministic_per_seed():
     basis = make("an", 4)
-    f = bnd.build_boundary(basis)
-    a = ana.l1_gap_mc(basis, f, seed=5, samples=4_000)
-    b = ana.l1_gap_mc(basis, f, seed=5, samples=4_000)
+    ff = folded(basis)
+    a = ana.l1_gap_mc(basis, ff, seed=5, samples=4_000)
+    b = ana.l1_gap_mc(basis, ff, seed=5, samples=4_000)
     assert a == b
-    c = ana.l1_gap_mc(basis, f, seed=6, samples=4_000)
+    c = ana.l1_gap_mc(basis, ff, seed=6, samples=4_000)
     assert c.estimate != a.estimate
 
 
 def test_l1_gap_stderr_scales_with_samples():
     basis = make("an", 4)
-    f = bnd.build_boundary(basis)
-    small = ana.l1_gap_mc(basis, f, seed=5, samples=4_000)
-    large = ana.l1_gap_mc(basis, f, seed=5, samples=16_000)
+    ff = folded(basis)
+    small = ana.l1_gap_mc(basis, ff, seed=5, samples=4_000)
+    large = ana.l1_gap_mc(basis, ff, seed=5, samples=16_000)
     assert small.stderr / large.stderr == pytest.approx(2.0, rel=0.15)
 
 
@@ -156,8 +162,8 @@ def test_l1_gap_frozen_values():
     }
     for n, value in expected.items():
         basis = make("an", n)
-        f = bnd.build_boundary(basis)
-        est = ana.l1_gap_mc(basis, f, seed=7, samples=20_000)
+        ff = folded(basis)
+        est = ana.l1_gap_mc(basis, ff, seed=7, samples=20_000)
         assert est.estimate == pytest.approx(value, abs=1e-12), n
         assert est.samples == 20_000 and est.seed == 7
 
@@ -167,24 +173,24 @@ def test_l1_gap_within_covering_bound_small_n():
     # beyond that the measured gap exceeds it (decays far slower than 2^n/n!)
     for n in range(3, 7):
         basis = make("an", n)
-        f = bnd.build_boundary(basis)
-        est = ana.l1_gap_mc(basis, f, seed=7, samples=20_000)
+        ff = folded(basis)
+        est = ana.l1_gap_mc(basis, ff, seed=7, samples=20_000)
         assert est.estimate + 3 * est.stderr < 2**n / math.factorial(n), n
 
 
 def test_l1_gap_graph_distance_dominates_clipped():
     basis = make("an", 5)
-    f = bnd.build_boundary(basis)
-    est = ana.l1_gap_mc(basis, f, seed=3, samples=10_000)
+    ff = folded(basis)
+    est = ana.l1_gap_mc(basis, ff, seed=3, samples=10_000)
     assert est.extras["graph_gap"] >= est.estimate
     assert est.extras["threshold"] == pytest.approx(basis.b1_e1 / 2, rel=1e-15)
 
 
 def test_l1_gap_raw_scale_is_parallelotope_volume():
     basis = make("an", 4)
-    f = bnd.build_boundary(basis)
-    unit = ana.l1_gap_mc(basis, f, seed=7, samples=20_000)
-    raw = ana.l1_gap_mc(basis, f, seed=7, samples=20_000, unit_volume=False)
+    ff = folded(basis)
+    unit = ana.l1_gap_mc(basis, ff, seed=7, samples=20_000)
+    raw = ana.l1_gap_mc(basis, ff, seed=7, samples=20_000, unit_volume=False)
     assert raw.estimate / unit.estimate == pytest.approx(math.sqrt(5), rel=1e-12)
 
 
@@ -192,8 +198,8 @@ def test_l1_gap_agrees_with_decode_error_route():
     # the clipped fiber gap integrates the same disagreement volume that the
     # nearest-corner indicator samples; the two estimators must agree
     basis = make("an", 4)
-    f = bnd.build_boundary(basis)
-    a = ana.l1_gap_mc(basis, f, seed=21, samples=50_000)
+    ff = folded(basis)
+    a = ana.l1_gap_mc(basis, ff, seed=21, samples=50_000)
     b = ana.hyperplane_decoding_error_mc(basis, seed=22, samples=50_000)
     sigma = math.hypot(a.stderr, b.stderr)
     assert abs(a.estimate - b.estimate) < 5 * sigma

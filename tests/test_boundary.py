@@ -325,13 +325,14 @@ def test_decode_bit_examples(a3):
     yt = lat.sample_domain(basis, seed=8, count=1)[0]
     val = bd.eval_boundary_batch(f, yt[None, :])[0][0]
     Y = np.stack([basis.G[0], np.zeros(3), np.concatenate([[val], yt])])
-    assert bd.decode_bit_batch(f, Y).tolist() == [1, 0, -1]
+    vals, _ = bd.eval_boundary_batch(f, Y[:, 1:])
+    assert bd.decode_bit_batch(Y, vals).tolist() == [1, 0, -1]
 
 
 def test_decode_agrees_with_cvp(a3):
     basis, f = a3
     Y = lat.sample_parallelotope(basis, seed=17, count=10_000)
-    bits = bd.decode_bit_batch(f, Y)
+    bits = bd.decode_bit_batch(Y, bd.eval_boundary_batch(f, Y[:, 1:])[0])
     corners = lat.enumerate_corners(basis)
     z1 = corners.z[lat.cvp_corners_batch(basis, Y), 0]
     sure = bits >= 0

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from latticecpwl import boundary as bnd
 from latticecpwl import cli
 from latticecpwl import lattices as lat
 
@@ -123,6 +124,20 @@ def test_eval_outputs_heights(capsys, tmp_path):
     assert all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("family", ["dn-second", "en"])
+def test_eval_matches_dense_oracle(capsys, tmp_path, family):
+    # eval is fold-first; the dense min-max over every membership is its oracle
+    basis = lat.build_basis(lat.FamilyId(family, 8))
+    Yt = lat.sample_domain(basis, seed=4, count=200)
+    pts = tmp_path / "pts.txt"
+    pts.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in Yt) + "\n")
+    code, out, _ = run(capsys, ["eval", "--family", family, "--n", "8", "--in", str(pts)])
+    assert code == 0
+    dense, _ = bnd.eval_boundary_batch(bnd.build_boundary(basis), Yt)
+    values = np.array([float(line) for line in out.splitlines()])
+    np.testing.assert_allclose(values, dense, rtol=0, atol=1e-12)
+
+
 def test_eval_outside_domain_exits_2(capsys, tmp_path):
     # fiber length of (0.3, 0.2, 0.1) through P(B) is -0.436 for an, n = 4
     pts = tmp_path / "pts.txt"
@@ -169,13 +184,14 @@ def test_non_finite_points_exit_2(capsys, tmp_path, command, row, bad):
     assert str(pts) in err and "line 3" in err and "non-finite" in err
 
 
-def test_decode_agrees_with_nearest_corner(capsys, tmp_path):
-    basis = lat.build_basis(lat.FamilyId("an", 4))
+@pytest.mark.parametrize("family,n", [("an", 4), ("dn-second", 8), ("en", 8)])
+def test_decode_agrees_with_nearest_corner(capsys, tmp_path, family, n):
+    basis = lat.build_basis(lat.FamilyId(family, n))
     Y = lat.sample_parallelotope(basis, seed=9, count=50)
     pts = tmp_path / "pts.txt"
     pts.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in Y) + "\n")
     code, out, _ = run(
-        capsys, ["decode", "--family", "an", "--n", "4", "--in", str(pts)]
+        capsys, ["decode", "--family", family, "--n", str(n), "--in", str(pts)]
     )
     assert code == 0
     bits = out.splitlines()

@@ -11,7 +11,7 @@ import pytest
 from latticecpwl import boundary as bd
 from latticecpwl import folding as fo
 from latticecpwl import lattices as lat
-from latticecpwl.errors import DomainError
+from latticecpwl.errors import ConstructionError, DomainError
 from latticecpwl.lattices import FamilyId
 
 # frozen from independent enumeration: (memberships, hyperplanes, groups)
@@ -173,6 +173,75 @@ def test_folded_structure_frozen(family, n):
     assert (len(memberships), len(planes), len(groups)) == FOLDED_STRUCTURE[
         (family, n)
     ]
+
+
+# every acceptance instance plus an 1, whose projected domain is a point
+FOLD_FIRST_INSTANCES = [("an", 1)] + sorted(FOLDED_STRUCTURE)
+
+
+def agreement_points(basis, f):
+    """Seeded D(B) samples, every projected corner and every pair midpoint."""
+    corners = lat.enumerate_corners(basis).z @ basis.G
+    mids = (f.pair_x + f.pair_xp) @ basis.G / 2.0
+    samples = lat.sample_domain(basis, seed=11, count=2_000)
+    return np.vstack([samples, corners[:, 1:], mids[:, 1:]])
+
+
+@pytest.mark.parametrize("family,n", FOLD_FIRST_INSTANCES)
+def test_fold_first_equals_dense(family, n):
+    _, basis, f, sched = make(family, n)
+    ff = fo.build_folded_boundary(f, sched)
+    Yt = agreement_points(basis, f)
+    dense, _ = bd.eval_boundary_batch(f, Yt)
+    np.testing.assert_allclose(fo.eval_folded_batch(ff, Yt), dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family,n", FOLD_FIRST_INSTANCES)
+def test_sort_is_the_fold(family, n):
+    # the sorted c, mapped back through Gt^-T, is the reflection fold's image
+    _, basis, f, sched = make(family, n)
+    ff = fo.build_folded_boundary(f, sched)
+    Yt = agreement_points(basis, f)
+    back = fo.sort_fold(ff, Yt) @ basis.Ginv[1:, 1:].T
+    folded = fo.apply_fold(sched, Yt)
+    np.testing.assert_allclose(back, folded, rtol=0, atol=1e-12)
+    assert fo.fold_predicate(sched, folded).all()
+
+
+@pytest.mark.parametrize(
+    "family,n,blocks",
+    [
+        ("an", 1, []),
+        ("an", 2, []),
+        ("an", 6, [[2, 3, 4, 5, 6]]),
+        ("dn-const-a", 5, [[2, 3, 4, 5]]),
+        ("dn-second", 3, []),
+        ("dn-second", 6, [[3, 4, 5, 6]]),
+        ("en", 8, [[2, 3], [4, 5, 6, 7, 8]]),
+    ],
+)
+def test_fold_first_blocks_are_schedule_components(family, n, blocks):
+    _, _, f, sched = make(family, n)
+    got = fo.build_folded_boundary(f, sched).blocks
+    assert sorted((blk + 2).tolist() for blk in got) == blocks
+
+
+@pytest.mark.parametrize(
+    "family,n,pairs",
+    [
+        ("dn-second", 4, [(2, 3)]),  # gram[0,1] = 0 but gram[0,2] = 1
+        ("an", 3, [(1, 2)]),  # b_1 leaves the projected domain
+        ("an", 4, [(3, 2)]),  # j > k would sort ascending
+        ("an", 4, [(2, 4), (3, 4)]),  # block {2,3,4} lacks (2,3): no sort
+    ],
+)
+def test_fold_first_rejects_steps_that_are_not_a_sort(family, n, pairs):
+    _, basis, f, _ = make(family, n)
+    steps = tuple(
+        fo.FoldStep(j=j, k=k, v=basis.G[j - 1, 1:] - basis.G[k - 1, 1:]) for j, k in pairs
+    )
+    with pytest.raises(ConstructionError):
+        fo.build_folded_boundary(f, fo.FoldingSchedule(steps=steps))
 
 
 def test_folded_oracle_small():

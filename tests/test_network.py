@@ -209,6 +209,18 @@ def test_depth_formula_frozen(family, n, depth):
     assert depth == net.base_depth(sched, sizes)
 
 
+@pytest.mark.parametrize(
+    "M,activations",
+    [(0, ["relu", "neg_relu", "identity"]), (1, ["relu", "neg_relu", "identity", "sawtooth2"])],
+)
+def test_meta_lists_activations(M, activations):
+    # only the M = 0 network is ReLU alone; M >= 1 adds the discontinuous sawtooth
+    basis, f, sched = make("dn-second", 4)
+    nw = net.synthesize(basis, sched, f, M=M)
+    assert nw.meta["activations"] == activations
+    assert sorted({a for l in nw.layers for a in l.acts}) == sorted(activations)
+
+
 def test_piece_stage_unit_count_dn_const_a3():
     basis, f, sched = make("dn-const-a", 3)
     nw = net.synthesize(basis, sched, f, M=0)
@@ -297,7 +309,7 @@ def test_network_json_round_trip():
         assert a.tag == b.tag
     assert back.meta == nw.meta
     doc = json.loads(text)
-    assert set(doc["meta"]) == {"depth", "width", "provenance"}
+    assert set(doc["meta"]) == {"depth", "width", "activations", "provenance"}
     Y = lat.sample_parallelotope(basis, seed=15, count=50)
     assert np.array_equal(net.forward(back, Y), net.forward(nw, Y))
 
