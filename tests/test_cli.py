@@ -184,8 +184,7 @@ def test_non_finite_points_exit_2(capsys, tmp_path, command, row, bad):
     assert str(pts) in err and "line 3" in err and "non-finite" in err
 
 
-@pytest.mark.parametrize("family,n", [("an", 4), ("dn-second", 8), ("en", 8)])
-def test_decode_agrees_with_nearest_corner(capsys, tmp_path, family, n):
+def check_decode_against_nearest_corner(capsys, tmp_path, family, n):
     basis = lat.build_basis(lat.FamilyId(family, n))
     Y = lat.sample_parallelotope(basis, seed=9, count=50)
     pts = tmp_path / "pts.txt"
@@ -201,6 +200,15 @@ def test_decode_agrees_with_nearest_corner(capsys, tmp_path, family, n):
     for got, want in zip(bits, oracle):
         if got != "?":
             assert int(got) == want
+
+
+def test_decode_agrees_with_nearest_corner(capsys, tmp_path):
+    check_decode_against_nearest_corner(capsys, tmp_path, "an", 4)
+
+
+@pytest.mark.parametrize("family,n", [("dn-second", 8), ("en", 8)])
+def test_decode_agrees_with_nearest_corner_folded(capsys, tmp_path, family, n):
+    check_decode_against_nearest_corner(capsys, tmp_path, family, n)
 
 
 def test_decode_reduces_shifted_points(capsys, tmp_path):
