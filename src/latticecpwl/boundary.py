@@ -22,8 +22,9 @@ from .errors import ConstructionError, DomainError, InternalCheckError
 from .lattices import FamilyId, OrientedBasis
 
 DECODE_TOL = 1e-7
-# points per block of eval_boundary_batch's (N x memberships) gather
-EVAL_ROWS = 20_000
+# points per block of _min_max (the last block takes the tail too): a block's
+# plane-major heights and (groups x rows) maxima stay in cache
+EVAL_ROWS = 512
 # sample_domain points of count_pieces_sampled above n = 4
 SAMPLE_BUDGET = 200_000
 
@@ -195,36 +196,47 @@ def _kissing_formula(fid: FamilyId | None) -> int | None:
     return {6: 72, 7: 126, 8: 240}[n]
 
 
+def _min_max(
+    X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The min-max kernel of both evaluators: per row of X, the min over groups
+    of the max over their members' heights (X W + bias)[column], members in
+    ascending `group` order; returns (values, first argmin-of-argmax member).
+    A block of EVAL_ROWS rows goes plane-major, and the groups, largest first,
+    take their max one rank at a time, rank r over the prefix larger than r.
+    The last block takes the tail too, so no block has one row unless X does:
+    numpy sends a one-row product to gemv, which can differ from gemm."""
+    _, starts, sizes = np.unique(group, return_index=True, return_counts=True)
+    # each group's columns by rank, padded by repeating the group's last one
+    table = column[starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
+    order = np.argsort(-sizes, kind="stable")
+    ranked, back = table[order], np.argsort(order)
+    larger = (sizes > np.arange(1, table.shape[1])[:, None]).sum(axis=1).tolist()
+    count = X.shape[0]
+    vals, act = np.empty(count), np.empty(count, dtype=np.int64)
+    for lo in range(0, max(count - EVAL_ROWS + 1, 1), EVAL_ROWS):
+        hi = lo + EVAL_ROWS if lo + 2 * EVAL_ROWS <= count else count
+        Ht = np.ascontiguousarray((X[lo:hi] @ W + bias).T)  # (columns, rows)
+        gmax = Ht[ranked[:, 0]]
+        for r, k in enumerate(larger, 1):
+            np.maximum(gmax[:k], Ht[ranked[:k, r]], out=gmax[:k])
+        gmax = gmax[back]
+        g = gmax.argmin(axis=0)
+        rows = np.arange(hi - lo)
+        vals[lo:hi] = gmax[g, rows]
+        act[lo:hi] = starts[g] + Ht[table[g], rows[:, None]].argmax(axis=1)
+    return vals, act
+
+
 def eval_boundary_batch(
     f: BoundaryFunction, Yt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense f evaluation over every membership, EVAL_ROWS points per block:
-    the oracle of the fold-first `folding.eval_folded_batch`, and the route
-    to membership ids.
-
-    Returns (values, active membership ids). The active id is the argmin-of-
-    argmax membership; numpy's first-minimum/first-maximum rule realizes the
-    smallest-id tie-break because memberships are laid out in (group, plane)
-    order with plane ids ascending. The per-group argmax runs over a
-    (groups x largest group) plane table padded with each group's first
-    plane, so a padded slot never wins a tie.
-    """
-    Yt = np.atleast_2d(np.asarray(Yt, dtype=float))
-    group, plane = f.memberships.T
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    rank = np.arange(len(group)) - starts[group]
-    table = np.repeat(plane[starts, None], rank.max() + 1, axis=1)
-    table[group, rank] = plane
-    vals = np.empty(Yt.shape[0])
-    act = np.empty(Yt.shape[0], dtype=np.int64)
-    for lo in range(0, Yt.shape[0], EVAL_ROWS):
-        H = Yt[lo : lo + EVAL_ROWS] @ f.A.T + f.c  # (N, P) piece values per plane
-        gmax = np.maximum.reduceat(H[:, plane], starts, axis=1)  # (N, groups)
-        gmin = gmax.argmin(axis=1)
-        rows = np.arange(len(gmin))
-        vals[lo : lo + EVAL_ROWS] = gmax[rows, gmin]
-        act[lo : lo + EVAL_ROWS] = starts[gmin] + H[rows[:, None], table[gmin]].argmax(axis=1)
-    return vals, act
+    """Dense f evaluation over every membership (the oracle of the fold-first
+    `folding.eval_folded_batch`): (values, active membership ids) from
+    `_min_max` over the per-plane heights Yt A^T + c. Its first-minimum/
+    first-maximum rule realizes the smallest-id tie-break because memberships
+    are laid out in (group, plane) order with plane ids ascending."""
+    return _min_max(np.atleast_2d(np.asarray(Yt, dtype=float)), f.A.T, f.c, *f.memberships.T)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def _read_points(path: str, expect_dim: int) -> tuple[np.ndarray, list[int]]:
                 f"{path}: line {k} has {len(row)} coordinates, expected {expect_dim}"
             )
     try:
-        pts = np.array([[float(tok) for tok in row] for row in rows], dtype=float)
+        pts = np.array(rows, dtype=float)
     except ValueError as exc:
         raise DomainError(f"cannot parse {path}: {exc}") from exc
     _reject_rows(path, lines, ~np.isfinite(pts).all(axis=1), "has a non-finite coordinate")
@@ -124,7 +124,7 @@ def cmd_eval(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     lo, hi = lat.fiber_interval_batch(basis, pts)
     _reject_rows(args.infile, lines, hi - lo < -lat.GEOM_TOL, "lies outside D(B)")
     vals = fld.eval_folded_batch(ff, pts)
-    return 0, "\n".join(repr(float(v)) for v in vals) + "\n"
+    return 0, "\n".join(map(repr, vals.tolist())) + "\n"
 
 
 def cmd_decode(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
@@ -136,8 +136,8 @@ def cmd_decode(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     alpha = pts @ basis.Ginv
     reduced = (alpha - np.floor(alpha)) @ basis.G
     bits = bnd.decode_bit_batch(reduced, fld.eval_folded_batch(ff, reduced[:, 1:]))
-    symbols = {1: "1", 0: "0", -1: "?"}
-    return 0, "\n".join(symbols[int(b)] for b in bits) + "\n"
+    # bits 0, 1 and -1 index "0", "1" and (from the end) "?"
+    return 0, "\n".join(np.array(["0", "1", "?"])[bits].tolist()) + "\n"
 
 
 def cmd_mc(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:

@@ -226,7 +226,7 @@ class FoldedBoundary:
     blocks: tuple[np.ndarray, ...]  # ascending columns of c per block
     W: np.ndarray  # (n-1, Pm) = Gt^-T A^T over the surviving memberships
     bias: np.ndarray  # (Pm,)
-    starts: np.ndarray  # first column of each surviving group
+    group: np.ndarray  # (Pm,) surviving group id of each column of W
 
 
 def build_folded_boundary(
@@ -255,7 +255,7 @@ def build_folded_boundary(
         blocks=tuple(np.array(sorted(b)) - 2 for b in blocks),  # b_j is column j - 2
         W=f.basis.Ginv[1:, 1:].T @ f.A[plane].T,
         bias=f.c[plane],
-        starts=np.flatnonzero(np.diff(group, prepend=-1)),
+        group=group,
     )
 
 
@@ -268,14 +268,9 @@ def sort_fold(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
 
 
 def eval_folded_batch(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
-    """f at each point, fold-first: sort, then min over the surviving groups of
-    the max over their pieces, EVAL_ROWS points per block."""
-    C = sort_fold(ff, Yt)
-    vals = np.empty(C.shape[0])
-    for lo in range(0, C.shape[0], bnd.EVAL_ROWS):
-        H = C[lo : lo + bnd.EVAL_ROWS] @ ff.W + ff.bias
-        vals[lo : lo + bnd.EVAL_ROWS] = np.maximum.reduceat(H, ff.starts, axis=1).min(axis=1)
-    return vals
+    """f at each point, fold-first: sort, then `bnd._min_max` over the
+    surviving groups and their pieces."""
+    return bnd._min_max(sort_fold(ff, Yt), ff.W, ff.bias, ff.group, np.arange(len(ff.group)))[0]
 
 
 def sample_folded_domain(

@@ -3,6 +3,7 @@ evaluation, and bit decoding against the brute-force corner oracle."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,21 +203,70 @@ def test_eval_active_matches_reference():
             assert act[i] == rid
 
 
-@pytest.mark.parametrize("family", ["an", "en"])
-def test_eval_active_matches_reference_on_ties_at_n8(family):
-    """The same agreement at n = 8 (largest groups of 8 and 56 planes) on
-    exact-tie inputs: every projected corner and every pair midpoint."""
+def n8_tie_inputs(family):
+    """f at n = 8 and its exact-tie inputs: every projected corner and every
+    pair midpoint."""
     basis = lat.build_basis(FamilyId(family, 8))
     f = bd.build_boundary(basis)
     corners = lat.enumerate_corners(basis).z @ basis.G
     mids = (f.pair_x + f.pair_xp) @ basis.G / 2.0
-    Yt = np.vstack([corners, mids])[:, 1:]
+    return f, np.vstack([corners, mids])[:, 1:]
+
+
+def assert_matches_reference(f, Yt):
     vals, act = bd.eval_boundary_batch(f, Yt)
     H = Yt @ f.A.T + f.c
     for i in range(Yt.shape[0]):
         rv, rid = _reference_eval(f, H[i])
         assert vals[i] == rv
         assert act[i] == rid
+    return vals, act
+
+
+@pytest.mark.parametrize("family", ["an", "en"])
+def test_eval_active_matches_reference_on_ties_at_n8(family):
+    """The same agreement at n = 8 (largest groups of 8 and 56 planes) on
+    exact-tie inputs."""
+    assert_matches_reference(*n8_tie_inputs(family))
+
+
+@pytest.mark.parametrize("family", ["an", "en"])
+def test_eval_matches_reference_across_ragged_blocks(family, monkeypatch):
+    """Blocks of 7 rows: the n = 8 tie inputs span many blocks and end in a
+    ragged one. Prefixes of every length mod 7, including the one that leaves
+    a one-row tail, give the same bits as the whole batch."""
+    monkeypatch.setattr(bd, "EVAL_ROWS", 7)
+    f, Yt = n8_tie_inputs(family)
+    vals, act = assert_matches_reference(f, Yt)
+    for m in range(Yt.shape[0] - 7, Yt.shape[0]):
+        v, a = bd.eval_boundary_batch(f, Yt[:m])
+        assert v.tobytes() == vals[:m].tobytes()
+        assert np.array_equal(a, act[:m])
+
+
+@pytest.mark.parametrize("family,n", [("an", 2), ("an", 8), ("en", 8)])
+def test_eval_single_point_and_empty_input(family, n):
+    basis = lat.build_basis(FamilyId(family, n))
+    f = bd.build_boundary(basis)
+    assert_matches_reference(f, lat.sample_domain(basis, seed=2, count=1))
+    vals, act = bd.eval_boundary_batch(f, np.empty((0, n - 1)))
+    assert vals.shape == act.shape == (0,)
+    assert act.dtype == np.int64
+
+
+def test_eval_working_set_is_bounded():
+    """The kernel's memory does not grow with the batch: 200k points at en 8
+    (1,205 memberships) stay far below one (points x memberships) gather."""
+    basis = lat.build_basis(FamilyId("en", 8))
+    f = bd.build_boundary(basis)
+    Yt = lat.sample_domain(basis, seed=3, count=200_000)
+    tracemalloc.start()
+    try:
+        bd.eval_boundary_batch(f, Yt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
 
 
 @pytest.mark.parametrize(

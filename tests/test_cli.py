@@ -124,6 +124,27 @@ def test_eval_outputs_heights(capsys, tmp_path):
     assert all(np.isfinite(values))
 
 
+def test_eval_prints_each_value_as_its_repr(capsys, tmp_path, monkeypatch):
+    # signed zero, a subnormal and a large value keep their exact repr
+    values = [-0.0, 5e-324, 1e300, 0.1, -2.5]
+    monkeypatch.setattr(cli.fld, "eval_folded_batch", lambda ff, pts: np.array(values))
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.0 0.0 0.0\n" * len(values))
+    code, out, _ = run(capsys, ["eval", "--family", "an", "--n", "4", "--in", str(pts)])
+    assert code == 0
+    assert out == "".join(repr(float(v)) + "\n" for v in values)
+
+
+def test_decode_prints_one_symbol_per_bit(capsys, tmp_path, monkeypatch):
+    bits = np.array([1, 0, -1, -1, 0, 1], dtype=np.int8)
+    monkeypatch.setattr(cli.bnd, "decode_bit_batch", lambda Y, vals: bits)
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.5 0.1 0.2 0.3\n" * len(bits))
+    code, out, _ = run(capsys, ["decode", "--family", "an", "--n", "4", "--in", str(pts)])
+    assert code == 0
+    assert out == "1\n0\n?\n?\n0\n1\n"
+
+
 @pytest.mark.parametrize("family", ["dn-second", "en"])
 def test_eval_matches_dense_oracle(capsys, tmp_path, family):
     # eval is fold-first; the dense min-max over every membership is its oracle

@@ -196,6 +196,16 @@ def test_fold_first_equals_dense(family, n):
     np.testing.assert_allclose(fo.eval_folded_batch(ff, Yt), dense, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("family,n", [("an", 1), ("an", 8), ("en", 8)])
+def test_fold_first_single_point_and_empty_input(family, n):
+    _, basis, f, sched = make(family, n)
+    ff = fo.build_folded_boundary(f, sched)
+    one = lat.sample_domain(basis, seed=2, count=1)
+    dense, _ = bd.eval_boundary_batch(f, one)
+    np.testing.assert_allclose(fo.eval_folded_batch(ff, one), dense, rtol=0, atol=1e-12)
+    assert fo.eval_folded_batch(ff, np.empty((0, n - 1))).shape == (0,)
+
+
 @pytest.mark.parametrize("family,n", FOLD_FIRST_INSTANCES)
 def test_sort_is_the_fold(family, n):
     # the sorted c, mapped back through Gt^-T, is the reflection fold's image
