@@ -10,7 +10,6 @@ collapse the same way).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -370,12 +369,3 @@ def piece_count_report(
             else "neither"
         )
     return row
-
-
-def boundary_to_json(f: BoundaryFunction) -> str:
-    """Export the grouped hyperplanes as a JSON list of {v, p, group}."""
-    rows = [
-        {"v": [float(x) for x in f.V[pid]], "p": float(f.p[pid]), "group": int(g)}
-        for g, pid in f.memberships
-    ]
-    return json.dumps(rows, indent=2)

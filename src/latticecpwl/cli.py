@@ -98,9 +98,12 @@ def cmd_fold(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     basis = lat.build_basis(fid)
     f = bnd.build_boundary(basis)
     schedule = fld.build_schedule(fid, basis)
-    row = fld.fold_invariance_report(
-        basis, f, schedule, seed=args.seed, count=args.samples
-    )
+    row = {
+        "family": fid.family,
+        "n": fid.n,
+        "samples": args.samples,
+        "max_dev": fld.verify_fold_invariance(basis, f, schedule, args.seed, args.samples),
+    }
     code = 0 if row["max_dev"] <= FOLD_DEV_LIMIT else 1
     if args.format == "json":
         return code, json.dumps(row, indent=2) + "\n"
@@ -141,6 +144,8 @@ def cmd_decode(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_mc(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
+    if args.samples < 2:
+        raise DomainError(f"--samples must be >= 2 for a standard error, got {args.samples}")
     basis = lat.build_basis(fid)
     rows = []
     dec = ana.hyperplane_decoding_error_mc(basis, seed=args.seed, samples=args.samples)
@@ -253,6 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         fid = lat.FamilyId(args.family, args.n)
         code, text = COMMANDS[args.command](fid, args)
     except (DomainError, ResourceError, ConstructionError) as exc:

@@ -1,13 +1,15 @@
 """Reflection folding of the boundary-function domain.
 
-Builds per-family reflection schedules, folds points onto the non-negative
-side of every schedule hyperplane, verifies that the boundary function is
-invariant under the fold, reduces points from the extended box back into the
-base parallelotope, and counts the pieces that survive on the folded domain.
+Builds per-family reflection schedules and evaluates f on the folded domain.
+Each schedule reflection swaps two coordinates of c = y~ Gt^T, so the fold
+is the sort: `sort_fold` orders c descending within each block of linked
+steps, and `network.reflection_block` is the ReLU construction of the same
+map. The module also verifies that f is invariant under the fold, reduces
+points from the extended box back into the base parallelotope, and counts
+the pieces that survive on the folded domain.
 """
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,12 +47,6 @@ class FoldingSchedule:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def V(self) -> np.ndarray:
-        if not self.steps:
-            return np.zeros((0, 0))
-        return np.stack([s.v for s in self.steps])
-
 
 def _schedule_pairs(fid: lat.FamilyId) -> list[tuple[int, int]]:
     n = fid.n
@@ -86,45 +82,6 @@ def build_schedule(fid: lat.FamilyId, basis: lat.OrientedBasis) -> FoldingSchedu
     return FoldingSchedule(steps=tuple(steps))
 
 
-def apply_fold(schedule: FoldingSchedule, Yt: np.ndarray) -> np.ndarray:
-    """Fold points onto the non-negative side of every schedule hyperplane.
-
-    Processes reflections in schedule order and re-sweeps until no reflection
-    fires; a point already on the non-negative side of all hyperplanes is
-    returned unchanged. A point within GEOM_TOL of a hyperplane counts as on
-    it, so rounding at ties (corners, pair midpoints) cannot make sweeps cycle.
-    """
-    arr = np.asarray(Yt, dtype=float)
-    single = arr.ndim == 1
-    out = arr.reshape(1, -1).copy() if single else arr.copy()
-    if not schedule.steps:
-        return out[0] if single else out
-    n = out.shape[1] + 1  # basis rank
-    for _ in range(n * n):
-        moved = False
-        for step in schedule.steps:
-            dot = out @ step.v
-            mask = dot < -lat.GEOM_TOL
-            if mask.any():
-                scale = 2.0 / (step.v @ step.v)
-                out[mask] -= np.outer(scale * dot[mask], step.v)
-                moved = True
-        if not moved:
-            return out[0] if single else out
-    raise InternalCheckError(
-        f"fold did not reach a fixpoint within {n * n} sweeps"
-    )
-
-
-def fold_predicate(schedule: FoldingSchedule, Yt: np.ndarray) -> np.ndarray:
-    """Boolean mask: on the non-negative side of all schedule hyperplanes, up
-    to apply_fold's GEOM_TOL."""
-    arr = np.atleast_2d(np.asarray(Yt, dtype=float))
-    if not schedule.steps:
-        return np.ones(arr.shape[0], dtype=bool)
-    return (arr @ schedule.V.T >= -lat.GEOM_TOL).all(axis=1)
-
-
 def _chunk_sizes(count: int) -> list[int]:
     base, rem = divmod(count, FOLD_CHUNKS)
     return [base + (1 if i < rem else 0) for i in range(FOLD_CHUNKS)]
@@ -147,9 +104,10 @@ def verify_fold_invariance(
     seed: int = 0,
     count: int = 10_000,
 ) -> float:
-    """Max |f(y~) - f(F(y~))| over exact D(B) samples from P(B)'s lower facets,
-    with f(y~) dense and f(F(y~)) fold-first on the reflection image, so the
-    two sides take independent routes.
+    """Max |f(y~) - f(F(y~))| over exact D(B) samples from P(B)'s lower facets.
+    The two sides take independent routes: f(y~) is dense, the min-max over
+    every membership at y~; f(F(y~)) is fold-first, the sort F of c = y~ Gt^T
+    and then the min-max over the surviving memberships in c.
 
     Sampling is split into FOLD_CHUNKS independently seeded chunks evaluated
     by a thread pool (capped by the LATTICE_FOLD_THREADS variable); the merge
@@ -163,29 +121,13 @@ def verify_fold_invariance(
     def run_chunk(i: int, m: int) -> float:
         Yt = lat.sample_domain(basis, seed=(seed, i), count=m)
         a, _ = bnd.eval_boundary_batch(f, Yt)
-        return float(np.abs(a - eval_folded_batch(ff, apply_fold(schedule, Yt))).max())
+        return float(np.abs(a - eval_folded_batch(ff, Yt)).max())
 
     sizes = _chunk_sizes(count)
     jobs = [(i, m) for i, m in enumerate(sizes) if m > 0]
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         devs = list(pool.map(lambda im: run_chunk(*im), jobs))
     return max(devs)
-
-
-def fold_invariance_report(
-    basis: lat.OrientedBasis,
-    f: bnd.BoundaryFunction,
-    schedule: FoldingSchedule,
-    seed: int = 0,
-    count: int = 10_000,
-) -> dict:
-    fid = basis.fid
-    return {
-        "family": fid.family if fid is not None else "custom",
-        "n": basis.n,
-        "samples": count,
-        "max_dev": verify_fold_invariance(basis, f, schedule, seed, count),
-    }
 
 
 def surviving_pairs(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.ndarray:
@@ -235,7 +177,8 @@ def build_folded_boundary(
     """The fold-first evaluator of f. Raises ConstructionError unless each step
     (j, k), 2 <= j < k <= n, leaves the integer Gram invariant when b_j and
     b_k trade places (so the reflection is the swap) and each block holds all
-    its pairs (so the fold's fixpoint is the sort)."""
+    its pairs (so the non-negative side of every step is the descending
+    order)."""
     gram = np.asarray(f.basis.gram)
     blocks: list[set[int]] = []
     for s in schedule.steps:
@@ -274,18 +217,11 @@ def eval_folded_batch(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
 
 
 def sample_folded_domain(
-    basis: lat.OrientedBasis,
-    schedule: FoldingSchedule,
-    seed: int = 0,
-    count: int = 10_000,
+    basis: lat.OrientedBasis, ff: FoldedBoundary, seed: int = 0, count: int = 10_000
 ) -> np.ndarray:
-    """Points of the folded domain from two independent routes: fold images
-    of uniform domain samples, plus domain samples that already satisfy the
-    predicate (rejection route)."""
+    """Fold images of uniform D(B) samples: the sorted c mapped back to y~."""
     Yt = lat.sample_domain(basis, seed=seed, count=count)
-    images = apply_fold(schedule, Yt)
-    kept = Yt[fold_predicate(schedule, Yt)]
-    return np.vstack([images, kept])
+    return sort_fold(ff, Yt) @ basis.Ginv[1:, 1:].T
 
 
 def folded_piece_count_oracle(
@@ -302,7 +238,9 @@ def folded_piece_count_oracle(
     deduplicated by hyperplane. The two must agree exactly.
     """
     planes = set(folded_structure(f, schedule)[1].tolist())
-    pts = sample_folded_domain(basis, schedule, seed=seed, count=samples)
+    pts = sample_folded_domain(
+        basis, build_folded_boundary(f, schedule), seed=seed, count=samples
+    )
     _, act = bnd.eval_boundary_batch(f, pts)
     sampled = set(np.unique(f.memberships[act, 1]).tolist())
     if sampled != planes:
@@ -337,9 +275,10 @@ def folded_count_report(
     sketches imply. Nothing is adjudicated here; the caller compares."""
     fid = basis.fid
     memberships, planes, groups = folded_structure(f, schedule)
+    ff = build_folded_boundary(f, schedule)
     sampled = []
     for i, dens in enumerate(densities):
-        pts = sample_folded_domain(basis, schedule, seed=(seed, i), count=dens)
+        pts = sample_folded_domain(basis, ff, seed=(seed, i), count=dens)
         _, act = bnd.eval_boundary_batch(f, pts)
         sampled.append(len(np.unique(f.memberships[act, 1])))
     stated_fn, sketch_fn = _STATED_SKETCH[fid.family] if fid else (None, None)
@@ -393,21 +332,3 @@ def reduce_to_parallelotope(
     if single:
         return y[0], z[0]
     return y, z
-
-
-def schedule_to_json(schedule: FoldingSchedule) -> str:
-    rows = [
-        {"j": s.j, "k": s.k, "v": [repr(float(c)) for c in s.v]}
-        for s in schedule.steps
-    ]
-    return json.dumps(rows, indent=2)
-
-
-def schedule_from_json(text: str) -> FoldingSchedule:
-    """Parse an exported schedule (inverse of schedule_to_json)."""
-    steps = []
-    for row in json.loads(text):
-        v = np.array([float(c) for c in row["v"]])
-        v.setflags(write=False)
-        steps.append(FoldStep(j=int(row["j"]), k=int(row["k"]), v=v))
-    return FoldingSchedule(steps=tuple(steps))

@@ -163,13 +163,6 @@ def _check_orientation(basis: OrientedBasis) -> None:
         raise InternalCheckError("b_1 . e_1 <= 0 after orientation")
 
 
-def scale_to_unit_volume(basis: OrientedBasis) -> OrientedBasis:
-    """Rescale the gram by det(gram)^(-1/n) so Vol(P(B)) = |det G| = 1."""
-    gram = basis.gram.astype(float)
-    det = float(np.linalg.det(gram))
-    return orient_basis(gram * det ** (-1.0 / basis.n), basis.fid)
-
-
 @dataclass(frozen=True, eq=False)
 class CornerSet:
     """The 2^n corners of P(B): integer labels z in {0,1}^n and points x = zG."""
@@ -363,13 +356,8 @@ def sample_domain(basis: OrientedBasis, seed: int, count: int) -> np.ndarray:
     return alpha @ basis.G[:, 1:]
 
 
-def project_points(Y: np.ndarray) -> np.ndarray:
-    """Drop the first coordinate: R^n points to their D(B) representatives."""
-    return np.asarray(Y, dtype=float)[..., 1:]
-
-
 # ---------------------------------------------------------------------------
-# JSON export/import
+# JSON export
 # ---------------------------------------------------------------------------
 
 def basis_to_json(basis: OrientedBasis) -> str:
@@ -389,18 +377,3 @@ def basis_to_json(basis: OrientedBasis) -> str:
 
 def _num(v: float | int) -> float | int:
     return int(v) if float(v).is_integer() else float(v)
-
-
-def basis_from_json(text: str) -> OrientedBasis:
-    """Inverse of basis_to_json; revalidates orientation invariants."""
-    payload = json.loads(text)
-    gram = np.asarray(payload["gram"])
-    if np.all(gram == np.round(gram)):
-        gram = gram.astype(np.int64)
-    fid = None
-    if payload.get("family"):
-        fid = FamilyId(payload["family"], int(payload["n"]))
-    G = np.asarray(payload["generator"], dtype=float)
-    basis = OrientedBasis(gram=gram, G=G, fid=fid)
-    _check_orientation(basis)
-    return basis

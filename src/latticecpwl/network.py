@@ -336,21 +336,3 @@ def network_to_json(network: Network) -> str:
             }
         )
     return json.dumps({"layers": rows, "meta": network.meta}, indent=2)
-
-
-def network_from_json(text: str) -> Network:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"network JSON is invalid: {exc}")
-    layers = []
-    for row in doc["layers"]:
-        layers.append(
-            Layer(
-                np.array(row["w"], dtype=float).reshape(len(row["b"]), -1),
-                np.array(row["b"], dtype=float),
-                tuple(row["act"]),
-                tag=row.get("tag", ""),
-            )
-        )
-    return Network(layers=tuple(layers), meta=doc.get("meta", {}))

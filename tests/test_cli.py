@@ -284,6 +284,30 @@ def test_mc_beyond_brute_cap_reports_decode_only(capsys):
     assert kinds == ["decode_error"]
 
 
+def test_mc_rejects_a_single_sample(capsys):
+    # one sample has no standard error (ddof = 1)
+    code, out, err = run(capsys, ["mc", "--family", "an", "--n", "4", "--samples", "1"])
+    assert code == 2
+    assert out == ""
+    assert "--samples must be >= 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fold", "--family", "an", "--n", "4"],
+        ["mc", "--family", "an", "--n", "4", "--samples", "100"],
+        ["count", "--family", "an", "--n", "6"],
+    ],
+    ids=["fold", "mc", "count"],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv + ["--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_bounds_with_separation(capsys):
     code, out, _ = run(
         capsys,

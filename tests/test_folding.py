@@ -2,7 +2,6 @@
 surviving-piece counts, and reduction into the base cell."""
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from latticecpwl import boundary as bd
 from latticecpwl import folding as fo
 from latticecpwl import lattices as lat
+from latticecpwl import network as net
 from latticecpwl.errors import ConstructionError, DomainError
 from latticecpwl.lattices import FamilyId
 
@@ -50,6 +50,23 @@ def make(family, n):
     return fid, basis, f, sched
 
 
+def fold(basis, f, sched, Yt):
+    """The fold image of each point: the sorted c mapped back to y~."""
+    return fo.sort_fold(fo.build_folded_boundary(f, sched), Yt) @ basis.Ginv[1:, 1:].T
+
+
+def on_folded_side(sched, Yt):
+    """Mask: on the non-negative side of every schedule hyperplane, up to
+    GEOM_TOL."""
+    return np.all([Yt @ s.v >= -lat.GEOM_TOL for s in sched.steps], axis=0)
+
+
+def reflection_layers(basis, f, sched):
+    """The reflection layers of the M = 0 network, the paper's ReLU fold."""
+    layers = net.synthesize(basis, sched, f, M=0).layers
+    return net.Network(layers=tuple(l for l in layers if l.tag == net.TAG_REFLECTION), meta={})
+
+
 @pytest.mark.parametrize(
     "family,n,count",
     [("dn-const-a", 4, 3), ("dn-second", 3, 0), ("en", 6, 4), ("an", 5, 6)],
@@ -85,61 +102,71 @@ def test_schedule_normals_are_basis_differences():
 
 
 def test_apply_fold_identity_on_folded_points():
-    _, basis, _, sched = make("dn-const-a", 4)
+    # the fold is idempotent and fixes points already on the folded side
+    _, basis, f, sched = make("dn-const-a", 4)
     Yt = lat.sample_domain(basis, seed=0, count=2_000)
-    folded = fo.apply_fold(sched, Yt)
-    again = fo.apply_fold(sched, folded)
-    assert np.array_equal(folded, again)
-    already = Yt[fo.fold_predicate(sched, Yt)]
-    assert np.array_equal(fo.apply_fold(sched, already), already)
+    folded = fold(basis, f, sched, Yt)
+    np.testing.assert_allclose(fold(basis, f, sched, folded), folded, rtol=0, atol=1e-12)
+    already = Yt[on_folded_side(sched, Yt)]
+    assert 0 < len(already) < len(Yt)
+    np.testing.assert_allclose(fold(basis, f, sched, already), already, rtol=0, atol=1e-12)
 
 
 def test_apply_fold_single_reflection_same_orbit():
-    _, basis, _, sched = make("an", 4)
+    _, basis, f, sched = make("an", 4)
     Yt = lat.sample_domain(basis, seed=1, count=500)
     step = sched.steps[2]
     dots = Yt @ step.v
     mirrored = Yt - np.outer(2 * dots / (step.v @ step.v), step.v)
-    a = fo.apply_fold(sched, Yt)
-    b = fo.apply_fold(sched, mirrored)
+    a = fold(basis, f, sched, Yt)
+    b = fold(basis, f, sched, mirrored)
     assert np.abs(a - b).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family,n", sorted(FOLDED_STRUCTURE))
 def test_apply_fold_output_satisfies_predicate(family, n):
-    _, basis, _, sched = make(family, n)
+    # in c the sort meets every step's inequality c_j >= c_k exactly, and it
+    # only permutes c within each block
+    _, basis, f, sched = make(family, n)
+    ff = fo.build_folded_boundary(f, sched)
     Yt = lat.sample_domain(basis, seed=2, count=1_000)
-    out = fo.apply_fold(sched, Yt)
-    assert fo.fold_predicate(sched, out).all()
-    # reflections through the origin preserve the norm
-    assert np.allclose(
-        (out**2).sum(axis=1), (Yt**2).sum(axis=1), rtol=1e-12, atol=1e-12
-    )
+    C = fo.sort_fold(ff, Yt)
+    for step in sched.steps:
+        assert (C[:, step.j - 2] >= C[:, step.k - 2]).all()
+    C0 = Yt @ ff.Gt.T
+    free = [c for c in range(n - 1) if not any(c in blk for blk in ff.blocks)]
+    assert np.array_equal(C[:, free], C0[:, free])
+    for blk in ff.blocks:
+        assert np.array_equal(np.sort(C[:, blk], axis=1), np.sort(C0[:, blk], axis=1))
 
 
 def test_single_pass_reaches_fixpoint():
-    """One sweep in schedule order already lands every point; the re-sweep in
-    apply_fold is a guard, not a requirement, for these schedules."""
+    """A second reference for the fold, written out: one sweep of the
+    schedule's reflections, in schedule order, lands every point on the
+    sort's image."""
     for family, n in [("an", 6), ("dn-const-a", 6), ("dn-second", 6), ("en", 8)]:
-        _, basis, _, sched = make(family, n)
-        out = lat.sample_domain(basis, seed=3, count=1_000).copy()
+        _, basis, f, sched = make(family, n)
+        Yt = lat.sample_domain(basis, seed=3, count=1_000)
+        out = Yt.copy()
         for step in sched.steps:
             dot = out @ step.v
             mask = dot < 0.0
             out[mask] -= np.outer(2 * dot[mask] / (step.v @ step.v), step.v)
-        assert fo.fold_predicate(sched, out).all()
+        np.testing.assert_allclose(out, fold(basis, f, sched, Yt), rtol=0, atol=1e-12)
 
 
 def test_apply_fold_scalar_and_empty_schedule():
-    _, basis, _, sched = make("dn-second", 3)
+    _, basis, f, sched = make("dn-second", 3)
     assert len(sched) == 0
+    ff = fo.build_folded_boundary(f, sched)
+    assert ff.blocks == ()
     yt = np.array([0.3, -0.4])
-    assert np.array_equal(fo.apply_fold(sched, yt), yt)
-    _, basis4, _, sched4 = make("dn-second", 4)
+    np.testing.assert_allclose(fold(basis, f, sched, yt), [yt], rtol=0, atol=1e-15)
+    _, basis4, f4, sched4 = make("dn-second", 4)
     yt = lat.sample_domain(basis4, seed=4, count=1)[0]
-    out = fo.apply_fold(sched4, yt)
-    assert out.shape == yt.shape
-    assert fo.fold_predicate(sched4, out).all()
+    out = fold(basis4, f4, sched4, yt)
+    assert out.shape == (1, yt.size)
+    assert on_folded_side(sched4, out).all()
 
 
 @pytest.mark.parametrize(
@@ -208,14 +235,18 @@ def test_fold_first_single_point_and_empty_input(family, n):
 
 @pytest.mark.parametrize("family,n", FOLD_FIRST_INSTANCES)
 def test_sort_is_the_fold(family, n):
-    # the sorted c, mapped back through Gt^-T, is the reflection fold's image
+    # the sorted c, mapped back through Gt^-T, is the image under the
+    # network's reflection layers
     _, basis, f, sched = make(family, n)
-    ff = fo.build_folded_boundary(f, sched)
     Yt = agreement_points(basis, f)
-    back = fo.sort_fold(ff, Yt) @ basis.Ginv[1:, 1:].T
-    folded = fo.apply_fold(sched, Yt)
-    np.testing.assert_allclose(back, folded, rtol=0, atol=1e-12)
-    assert fo.fold_predicate(sched, folded).all()
+    back = fold(basis, f, sched, Yt)
+    ref = net.forward(reflection_layers(basis, f, sched), Yt)
+    np.testing.assert_allclose(back, ref, rtol=0, atol=1e-12)
+    assert on_folded_side(sched, back).all()
+    # reflections through the origin preserve the norm
+    np.testing.assert_allclose(
+        (back**2).sum(axis=1), (Yt**2).sum(axis=1), rtol=1e-12, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize(
@@ -295,10 +326,14 @@ def test_folded_count_report_en():
 
 
 def test_sample_folded_domain_two_routes():
-    _, basis, _, sched = make("an", 4)
-    pts = fo.sample_folded_domain(basis, sched, seed=5, count=5_000)
-    assert pts.shape[0] >= 5_000
-    assert fo.fold_predicate(sched, pts).all()
+    # the sampler's sort images equal the reflection layers' images of the
+    # same seeded samples
+    _, basis, f, sched = make("an", 4)
+    pts = fo.sample_folded_domain(basis, fo.build_folded_boundary(f, sched), seed=5, count=5_000)
+    assert pts.shape == (5_000, 3)
+    ref = net.forward(reflection_layers(basis, f, sched), lat.sample_domain(basis, seed=5, count=5_000))
+    np.testing.assert_allclose(pts, ref, rtol=0, atol=1e-12)
+    assert on_folded_side(sched, pts).all()
     assert lat.domain_contains(basis, pts).all()
 
 
@@ -343,27 +378,3 @@ def test_reduce_rejects_outside_extended_box():
         fo.reduce_to_parallelotope(basis, -0.5 * basis.G[0], M=1)
     with pytest.raises(DomainError):
         fo.reduce_to_parallelotope(basis, np.zeros(4), M=1)
-
-
-def test_schedule_json_round_trip():
-    fid, basis, _, sched = make("en", 7)
-    text = fo.schedule_to_json(sched)
-    rows = json.loads(text)
-    assert [(r["j"], r["k"]) for r in rows] == [(s.j, s.k) for s in sched.steps]
-    back = fo.schedule_from_json(text)
-    assert len(back) == len(sched)
-    for a, b in zip(back.steps, sched.steps):
-        assert (a.j, a.k) == (b.j, b.k)
-        assert np.array_equal(a.v, b.v)
-
-
-@pytest.mark.parametrize("family,n", [("an", 4), ("dn-second", 5), ("en", 7)])
-def test_schedule_from_json_folds_like_the_original(family, n):
-    # the parsed schedule needs no basis: apply_fold and folded_structure
-    # take everything from the points and from f
-    _, basis, f, sched = make(family, n)
-    back = fo.schedule_from_json(fo.schedule_to_json(sched))
-    Yt = lat.sample_domain(basis, seed=5, count=2000)
-    assert fo.apply_fold(back, Yt).tobytes() == fo.apply_fold(sched, Yt).tobytes()
-    for a, b in zip(fo.folded_structure(f, back), fo.folded_structure(f, sched)):
-        assert np.array_equal(a, b)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from latticecpwl import boundary as bd
+from latticecpwl import cli
 from latticecpwl import folding as fo
 from latticecpwl import lattices as lat
 from latticecpwl import network as net
@@ -275,7 +276,8 @@ def test_distinct_gradients_match_folded_oracle():
         basis, f, sched = make(family, n)
         nw = net.synthesize(basis, sched, f, M=0)
         expected = fo.folded_piece_count_oracle(basis, f, sched, samples=40_000)
-        pts = fo.sample_folded_domain(basis, sched, seed=14, count=8_000)
+        ff = fo.build_folded_boundary(f, sched)
+        pts = fo.sample_folded_domain(basis, ff, seed=14, count=8_000)
         # keep points whose active piece wins by a clear margin, so the
         # gradient is constant in the finite-difference neighborhood
         H = pts @ f.A.T + f.c
@@ -296,11 +298,24 @@ def test_distinct_gradients_match_folded_oracle():
         assert distinct.shape[0] == expected
 
 
-def test_network_json_round_trip():
+def test_network_json_round_trip(capsys):
+    # `synth` output parses back to the in-memory network exactly
     basis, f, sched = make("en", 6)
     nw = net.synthesize(basis, sched, f, M=1)
-    text = net.network_to_json(nw)
-    back = net.network_from_json(text)
+    assert cli.main(["synth", "--family", "en", "--n", "6", "--M", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    back = net.Network(
+        layers=tuple(
+            net.Layer(
+                np.array(row["w"]).reshape(len(row["b"]), -1),
+                np.array(row["b"]),
+                tuple(row["act"]),
+                tag=row["tag"],
+            )
+            for row in doc["layers"]
+        ),
+        meta=doc["meta"],
+    )
     assert len(back.layers) == len(nw.layers)
     for a, b in zip(back.layers, nw.layers):
         assert np.array_equal(a.W, b.W)
@@ -308,12 +323,28 @@ def test_network_json_round_trip():
         assert a.acts == b.acts
         assert a.tag == b.tag
     assert back.meta == nw.meta
-    doc = json.loads(text)
     assert set(doc["meta"]) == {"depth", "width", "activations", "provenance"}
     Y = lat.sample_parallelotope(basis, seed=15, count=50)
     assert np.array_equal(net.forward(back, Y), net.forward(nw, Y))
 
 
-def test_network_from_json_rejects_garbage():
-    with pytest.raises(DomainError):
-        net.network_from_json("{not json")
+@pytest.mark.parametrize(
+    "family,n,continuous",
+    [("an", 3, True), ("an", 5, True), ("dn-const-a", 4, False),
+     ("dn-second", 4, False), ("en", 6, False)],
+)
+def test_m1_face_jump(family, n, continuous):
+    """The M = 1 translation stage uses the discontinuous sawtooth. Across
+    the face alpha_2 = 1 of the extended box the output moves by about
+    epsilon times the slope for an, and jumps for the other families."""
+    basis, f, sched = make(family, n)
+    nw = net.synthesize(basis, sched, f, M=1)
+    alpha = np.random.default_rng(16).random((200, n))
+    alpha[:, 1:] *= 2
+    below, above = alpha.copy(), alpha.copy()
+    below[:, 1], above[:, 1] = 1 - 1e-7, 1 + 1e-7
+    jump = np.abs(net.forward(nw, below @ basis.G) - net.forward(nw, above @ basis.G)).max()
+    if continuous:
+        assert jump < 1e-6
+    else:
+        assert jump > 0.1
