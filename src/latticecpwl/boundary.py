@@ -10,6 +10,7 @@ collapse the same way).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +43,9 @@ class BoundaryFunction:
     of its C^1 endpoint, the plane of its bisector); every membership has at
     least one pair. All of it is read by the dense oracle and membership-id
     route `eval_boundary_batch`; `folding.FoldedBoundary` serves points.
+    `build_boundary` fills every field in one array pass over blocks of C^1
+    rows (about 2^20 corner pairs each); only the corner merge and the rows
+    of V loop in Python.
     """
 
     basis: OrientedBasis
@@ -73,6 +77,15 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
     The bisector of (x, x') has v = x - x' and p = (||x||^2 - ||x'||^2)/2.
     With integer Gram data both are exact: the plane key stores the integer
     difference vector d and 2p = 2 z' gram d + d gram d.
+
+    Built in one array pass. The pairs are the entries equal to 2 of the
+    integer norm table q(x) + q(x') - 2 x gram x'^T, taken over blocks of C^1
+    rows of about 2^20 entries each, so no C^1 x C^0 table is ever held; read
+    row-major, they come corner by corner, x' ascending. Each key packs into
+    one int64, and plane ids number the distinct keys in first-occurrence
+    order. Corners merge by their sorted plane-id tuples, which also order the
+    groups; a pair's membership id is its group's start plus its plane's rank
+    in the group. Only the merge (per corner) and V (per plane) loop in Python.
     """
     if not basis.gram_is_integral:
         raise ConstructionError("boundary construction needs an integer gram matrix")
@@ -89,97 +102,102 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
     c1 = corners.z[corners.c1_rows]
     c0 = corners.z[corners.c0_rows]
 
-    plane_ids: dict[PlaneKey, int] = {}
-    keys: list[PlaneKey] = []
-    pair_x: list[np.ndarray] = []
-    pair_xp: list[np.ndarray] = []
-    pair_plane: list[int] = []
-    pair_corner: list[int] = []  # index into corner_groups
-    corner_groups: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    q0 = np.einsum("ij,jk,ik->i", c0, gram, c0)
+    q1 = np.einsum("ij,jk,ik->i", c1, gram, c1)
+    cross = -2 * gram @ c0.T
+    step = max(1, (1 << 20) // len(c0))
+    hits = np.concatenate([
+        np.flatnonzero(c1[lo : lo + step] @ cross + q0 + q1[lo : lo + step, None] == 2)
+        + lo * len(c0)
+        for lo in range(0, len(c1), step)
+    ])
+    pair_corner, pair_col = np.divmod(hits, len(c0))  # corner ascending, then x'
+    pair_x, pair_xp = c1[pair_corner], c0[pair_col]
 
-    for x in c1:
-        d = x[None, :] - c0
-        norms = np.einsum("ij,jk,ik->i", d, gram, d)
-        members: set[int] = set()
-        for row in np.flatnonzero(norms == 2):
-            dd = d[row]
-            xp = c0[row]
-            two_p = int(2 * (xp @ gram @ dd) + dd @ gram @ dd)
-            key: PlaneKey = (tuple(int(v) for v in dd), two_p)
-            pid = plane_ids.get(key)
-            if pid is None:
-                pid = len(keys)
-                plane_ids[key] = pid
-                keys.append(key)
-            members.add(pid)
-            pair_x.append(x.copy())
-            pair_xp.append(xp.copy())
-            pair_plane.append(pid)
-            pair_corner.append(len(corner_groups))
-        if members:
-            corner_groups.append((tuple(int(v) for v in x), frozenset(members)))
+    d = pair_x - pair_xp
+    # 2p = 2 z' gram d + d gram d, and d gram d = 2 on every pair
+    key_rows = np.column_stack([d, 2 * np.einsum("ij,jk,ik->i", pair_xp, gram, d) + 2])
+    base = key_rows.min(axis=0, initial=0)
+    dims = tuple((key_rows.max(axis=0, initial=0) - base + 1).tolist())
+    code = np.ravel_multi_index(tuple((key_rows - base).T), dims)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    pair_plane = np.argsort(order)[inverse]
+    keys = key_rows[first[order]]
 
-    # merge corners whose whole groups coincide
-    merged: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for zx, group in corner_groups:
-        merged.setdefault(group, []).append(zx)
-    group_items = sorted(merged.items(), key=lambda kv: tuple(sorted(kv[0])))
-    group_planes = tuple(tuple(sorted(g)) for g, _ in group_items)
-    group_corner_z = tuple(tuple(sorted(zs)) for _, zs in group_items)
-    # a pair's membership is (the merged group of its C^1 corner, its plane)
-    group_of = {g: gi for gi, (g, _) in enumerate(group_items)}
-    memb_rows = [(gi, pid) for gi, planes in enumerate(group_planes) for pid in planes]
-    memb_of = {row: m for m, row in enumerate(memb_rows)}
-    pair_memb = [
-        memb_of[group_of[corner_groups[ci][1]], pid]
-        for ci, pid in zip(pair_corner, pair_plane)
-    ]
+    # merge corners whose whole sorted plane-id tuples coincide
+    corner_ids, starts, counts = np.unique(pair_corner, return_index=True, return_counts=True)
+    by_corner = np.lexsort((pair_plane, pair_corner))
+    flat = pair_plane[by_corner].tolist()
+    corner_planes = [tuple(flat[a : a + k]) for a, k in zip(starts.tolist(), counts.tolist())]
+    merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for zx, planes in zip(c1[corner_ids].tolist(), corner_planes):
+        merged.setdefault(planes, []).append(tuple(zx))
+    group_planes = tuple(sorted(merged))
+    group_corner_z = tuple(tuple(sorted(merged[g])) for g in group_planes)
+    group_of = {g: gi for gi, g in enumerate(group_planes)}
+    sizes = np.array([len(g) for g in group_planes], dtype=np.int64)
+    group_start = np.cumsum(sizes) - sizes
+    corner_start = group_start[np.array([group_of[g] for g in corner_planes], dtype=np.int64)]
+    pair_memb = np.empty(len(pair_plane), dtype=np.int64)
+    pair_memb[by_corner] = np.arange(len(pair_plane)) + np.repeat(corner_start - starts, counts)
+    memberships = np.column_stack([
+        np.repeat(np.arange(len(group_planes), dtype=np.int64), sizes),
+        np.fromiter(itertools.chain.from_iterable(group_planes), dtype=np.int64),
+    ])
 
-    V = np.array([np.asarray(k[0], dtype=float) @ basis.G for k in keys]).reshape(-1, n)
-    p = np.array([k[1] / 2.0 for k in keys])
+    plane_keys = tuple((tuple(k[:-1]), k[-1]) for k in keys.tolist())
+    # one row per plane: a stacked D @ G can round differently in the last bit
+    V = np.array([row @ basis.G for row in keys[:, :-1].astype(float)]).reshape(-1, n)
+    p = keys[:, -1] / 2.0
     v1 = V[:, 0] if len(V) else np.empty(0)
     if len(V) and np.abs(v1).min() <= lat.GEOM_TOL:
         bad = int(np.abs(v1).argmin())
         raise ConstructionError(
-            f"bisector normal {keys[bad][0]} has zero first coordinate"
+            f"bisector normal {plane_keys[bad][0]} has zero first coordinate"
         )
     A = -V[:, 1:] / v1[:, None] if len(V) else np.empty((0, max(n - 1, 0)))
     c = p / v1 if len(V) else np.empty(0)
 
     f = BoundaryFunction(
         basis=basis,
-        plane_keys=tuple(keys),
+        plane_keys=plane_keys,
         V=V,
         p=p,
         A=A,
         c=c,
         group_planes=group_planes,
         group_corner_z=group_corner_z,
-        pair_x=np.asarray(pair_x, dtype=np.int64).reshape(-1, n),
-        pair_xp=np.asarray(pair_xp, dtype=np.int64).reshape(-1, n),
-        memberships=np.asarray(memb_rows, dtype=np.int64).reshape(-1, 2),
-        pair_memb=np.asarray(pair_memb, dtype=np.int64),
+        pair_x=pair_x,
+        pair_xp=pair_xp,
+        memberships=memberships,
+        pair_memb=pair_memb,
     )
     _check_boundary(f)
     return f
 
 
 def _check_boundary(f: BoundaryFunction) -> None:
-    """Construction-time invariants: midpoints on planes, corners above caps."""
+    """Construction-time invariants: midpoints on planes, groups smaller than
+    the kissing number, each group's first corner strictly above its cap."""
     basis = f.basis
     mid = (f.pair_x + f.pair_xp) @ basis.G / 2.0
     pair_plane = f.memberships[f.pair_memb, 1]
     resid = np.abs((mid * f.V[pair_plane]).sum(axis=1) - f.p[pair_plane])
     if resid.size and resid.max() > 1e-9:
         raise InternalCheckError(f"bisector misses pair midpoint by {resid.max():.2e}")
+    if not len(f.memberships):
+        return
+    group, plane = f.memberships.T
+    sizes = np.bincount(group)
     kiss = _kissing_formula(basis.fid)
-    for planes, zs in zip(f.group_planes, f.group_corner_z):
-        if kiss is not None and len(planes) >= kiss:
-            raise InternalCheckError("group size reached the kissing number")
-        x = np.asarray(zs[0], dtype=float) @ basis.G
-        cap = (x[None, 1:] @ f.A[list(planes)].T + f.c[list(planes)]).max()
-        if x[0] <= cap:
-            raise InternalCheckError("C^1 corner not strictly above its own cap")
+    if kiss is not None and sizes.max() >= kiss:
+        raise InternalCheckError("group size reached the kissing number")
+    X = np.array([zs[0] for zs in f.group_corner_z], dtype=float) @ basis.G
+    heights = np.einsum("ij,ij->i", X[group, 1:], f.A[plane]) + f.c[plane]
+    cap = np.maximum.reduceat(heights, np.cumsum(sizes) - sizes)
+    if (X[:, 0] <= cap).any():
+        raise InternalCheckError("C^1 corner not strictly above its own cap")
 
 
 def _kissing_formula(fid: FamilyId | None) -> int | None:
