@@ -109,21 +109,15 @@ def l1_gap_mc(
     ff: fld.FoldedBoundary,
     seed: int = 0,
     samples: int = 10_000,
-    unit_volume: bool = True,
 ) -> McEstimate:
     """Gap between the boundary function f, evaluated fold-first through ff,
     and the constant mid-height plane.
 
-    The primary estimate integrates, over the projected domain, the length of
-    the first-coordinate fiber segment on which the two disagree as
-    classifiers, intersecting both graphs with the parallelotope first. The raw
-    graph distance without that intersection is reported alongside in extras
-    as graph_gap; it exceeds the covering bound already at moderate n because
-    the constant plane leaves the parallelotope fibers.
-
-    With unit_volume the result is expressed in the convention where the
-    parallelotope has volume one (equivalently, lengths scaled by
-    det(Gamma)^(-1/2n)); otherwise in the raw coordinates of the basis.
+    The estimate integrates, over the projected domain, the length of the
+    first-coordinate fiber segment on which the two disagree as classifiers,
+    intersecting both graphs with the parallelotope first. It is expressed in
+    the convention where the parallelotope has volume one (equivalently,
+    lengths scaled by det(Gamma)^(-1/2n)).
     """
     Y = lat.sample_parallelotope(basis, seed=seed, count=samples)
     vals, lo, hi, ell = _fiber_quantities(basis, ff, Y)
@@ -131,23 +125,11 @@ def l1_gap_mc(
     f_clip = np.clip(vals, lo, hi)
     h_clip = np.clip(h, lo, hi)
     disagree = np.abs(f_clip - h_clip) / ell
-    graph = np.abs(vals - h) / ell
-    volume = math.sqrt(float(np.linalg.det(np.asarray(basis.gram, dtype=float))))
-    factor = 1.0 if unit_volume else volume
-    est = float(disagree.mean()) * factor
-    err = float(disagree.std(ddof=1) / math.sqrt(samples)) * factor
     return McEstimate(
-        estimate=est,
+        estimate=float(disagree.mean()),
         samples=samples,
         seed=seed,
-        stderr=err,
-        extras={
-            "graph_gap": float(graph.mean()) * factor,
-            "graph_gap_stderr": float(graph.std(ddof=1) / math.sqrt(samples)) * factor,
-            "threshold": h,
-            "parallelotope_volume": volume,
-            "unit_volume": unit_volume,
-        },
+        stderr=float(disagree.std(ddof=1) / math.sqrt(samples)),
     )
 
 

@@ -1,5 +1,5 @@
 """The CPWL decision-boundary function f: min over corner groups of max over
-bisector pieces, plus independent piece-count oracles and the bit decoder.
+bisector pieces, plus closed-form and sampled piece counts and the bit decoder.
 
 Every C^1 corner x contributes a group of hyperplanes, one per closest C^0
 neighbor x'. A "piece" is a (group, hyperplane) membership after merging
@@ -13,18 +13,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import lattices as lat
-from .errors import ConstructionError, DomainError, InternalCheckError
+from .errors import ConstructionError, InternalCheckError
 from .lattices import FamilyId, OrientedBasis
 
 DECODE_TOL = 1e-7
 # points per block of _min_max (the last block takes the tail too): a block's
 # plane-major heights and (groups x rows) maxima stay in cache
 EVAL_ROWS = 512
+# grid points per axis of count_pieces_sampled at n <= 4
+GRID_DENSITY = 60
 # sample_domain points of count_pieces_sampled above n = 4
 SAMPLE_BUDGET = 200_000
 
@@ -64,11 +65,6 @@ class BoundaryFunction:
     @property
     def n(self) -> int:
         return self.basis.n
-
-    @cached_property
-    def lipschitz_bound(self) -> float:
-        """max over planes of ||vtilde|| / |v . e_1|, a Lipschitz constant for f."""
-        return float(np.sqrt((self.A**2).sum(axis=1)).max()) if len(self.A) else 0.0
 
 
 def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
@@ -257,7 +253,7 @@ def eval_boundary_batch(
 
 
 # ---------------------------------------------------------------------------
-# piece counts: closed forms, pair-enumeration oracle, sampled cross-check
+# piece counts: closed forms and the sampled cross-check
 # ---------------------------------------------------------------------------
 
 def _binom(a: int, b: int) -> int:
@@ -268,7 +264,7 @@ def count_pieces_formula(fid: FamilyId) -> int:
     """Closed-form piece count of f over D(B) for the family.
 
     For the E_n family the published sum is ambiguous about one binomial index;
-    en_formula_readings computes both and the enumeration oracle adjudicates
+    en_formula_readings computes both and the enumerated count adjudicates
     (tests pin the multiplicity reading binom(n-3, i)).
     """
     n = fid.n
@@ -305,42 +301,30 @@ def en_formula_readings(n: int) -> dict[str, int]:
     return {"multiplicity_over_i": over_i, "multiplicity_literal": literal}
 
 
-def count_pieces_oracle(f: BoundaryFunction) -> int:
-    """Piece count by pair enumeration: total memberships of the merged groups."""
-    return len(f.memberships)
-
-
-def count_pieces_sampled(
-    basis: OrientedBasis,
-    f: BoundaryFunction,
-    grid_density: int = 60,
-    seed: int = 0,
-) -> int:
+def count_pieces_sampled(basis: OrientedBasis, f: BoundaryFunction, seed: int = 0) -> int:
     """Distinct active membership ids over a dense sample of the D(B) interior.
 
-    Uses a regular grid for n - 1 <= 3 and at most SAMPLE_BUDGET seeded
-    uniform samples above that (the grid would explode combinatorially).
-    Always <= the oracle count.
+    Uses a regular grid for n - 1 <= 3 (seed unused) and at most
+    SAMPLE_BUDGET seeded uniform samples above that (the grid would explode
+    combinatorially). Always <= the enumerated count len(f.memberships).
     """
-    if grid_density < 10:
-        raise DomainError("grid_density must be >= 10")
-    Yt = _domain_cloud(basis, grid_density, seed)
+    Yt = _domain_cloud(basis, seed)
     _, act = eval_boundary_batch(f, Yt)
     return int(np.unique(act).size)
 
 
-def _domain_cloud(basis: OrientedBasis, grid_density: int, seed: int) -> np.ndarray:
+def _domain_cloud(basis: OrientedBasis, seed: int) -> np.ndarray:
     """D(B) points: the bbox grid masked by domain_contains at n <= 4 (exact,
-    pinned counts), else min(grid_density^d, SAMPLE_BUDGET) sample_domain points."""
+    pinned counts), else min(GRID_DENSITY^d, SAMPLE_BUDGET) sample_domain points."""
     d = basis.n - 1
     if d == 0:
         return np.zeros((1, 0))
     if d <= 3:
         lo, hi = lat.domain_bbox(basis)
-        axes = [np.linspace(lo[j], hi[j], grid_density) for j in range(d)]
+        axes = [np.linspace(lo[j], hi[j], GRID_DENSITY) for j in range(d)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         return mesh[lat.domain_contains(basis, mesh)]
-    count = min(grid_density ** d, SAMPLE_BUDGET)
+    count = min(GRID_DENSITY ** d, SAMPLE_BUDGET)
     return lat.sample_domain(basis, seed, count)
 
 
@@ -358,16 +342,13 @@ def decode_bit_batch(Y: np.ndarray, vals: np.ndarray) -> np.ndarray:
 # reports and export
 # ---------------------------------------------------------------------------
 
-def piece_count_report(
-    fid: FamilyId,
-    grid_density: int = 60,
-    seed: int = 0,
-) -> dict:
-    """One row of the piece-count verification: formula vs oracle vs sampling."""
+def piece_count_report(fid: FamilyId, seed: int = 0) -> dict:
+    """One row of the piece-count verification: formula vs oracle (the
+    enumerated memberships) vs sampling."""
     basis = lat.build_basis(fid)
     f = build_boundary(basis)
-    oracle = count_pieces_oracle(f)
-    sampled = count_pieces_sampled(basis, f, grid_density=grid_density, seed=seed)
+    oracle = len(f.memberships)
+    sampled = count_pieces_sampled(basis, f, seed=seed)
     row = {
         "family": fid.family,
         "n": fid.n,

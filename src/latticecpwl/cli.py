@@ -42,7 +42,7 @@ def _read_points(path: str, expect_dim: int) -> tuple[np.ndarray, list[int]]:
     try:
         with open(path) as fh:
             raw = [line.split() for line in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     lines = [k for k, row in enumerate(raw, 1) if row]
     rows = [row for row in raw if row]

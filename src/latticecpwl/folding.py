@@ -4,9 +4,9 @@ Builds per-family reflection schedules and evaluates f on the folded domain.
 Each schedule reflection swaps two coordinates of c = y~ Gt^T, so the fold
 is the sort: `sort_fold` orders c descending within each block of linked
 steps, and `network.reflection_block` is the ReLU construction of the same
-map. The module also verifies that f is invariant under the fold, reduces
-points from the extended box back into the base parallelotope, and counts
-the pieces that survive on the folded domain.
+map. The module also finds the pieces that survive on the folded domain,
+evaluates f fold-first over them, and verifies that f is invariant under
+the fold.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import boundary as bnd
 from . import lattices as lat
-from .errors import ConstructionError, DomainError, InternalCheckError
+from .errors import ConstructionError, DomainError
 
 # fixed chunk count for parallel verification; results are merged by max so
 # the outcome is independent of worker count
@@ -144,17 +144,14 @@ def surviving_pairs(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.nd
     return ((f.pair_x @ rows.T >= 0) & (f.pair_xp @ rows.T >= 0)).all(axis=1)
 
 
-def folded_structure(
-    f: bnd.BoundaryFunction, schedule: FoldingSchedule
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Surviving (group, plane) membership rows, plane ids, and group ids after
-    folding, each in ascending order.
+def folded_structure(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.ndarray:
+    """Surviving (group, plane) membership rows after folding, in ascending
+    order.
 
     A membership survives when at least one of its neighbor pairs has both
     endpoints on the non-negative side of all hyperplanes.
     """
-    memberships = f.memberships[np.unique(f.pair_memb[surviving_pairs(f, schedule)])]
-    return memberships, np.unique(memberships[:, 1]), np.unique(memberships[:, 0])
+    return f.memberships[np.unique(f.pair_memb[surviving_pairs(f, schedule)])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +189,7 @@ def build_folded_boundary(
         blocks = [b for b in blocks if b not in linked] + [{s.j, s.k}.union(*linked)]
     if len({(s.j, s.k) for s in schedule.steps}) != sum(len(b) * (len(b) - 1) // 2 for b in blocks):
         raise ConstructionError("a schedule block lacks a pair, so the fold is not a sort")
-    group, plane = folded_structure(f, schedule)[0].T
+    group, plane = folded_structure(f, schedule).T
     return FoldedBoundary(
         Gt=f.basis.G[1:, 1:],
         blocks=tuple(np.array(sorted(b)) - 2 for b in blocks),  # b_j is column j - 2
@@ -214,121 +211,3 @@ def eval_folded_batch(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
     """f at each point, fold-first: sort, then `bnd._min_max` over the
     surviving groups and their pieces."""
     return bnd._min_max(sort_fold(ff, Yt), ff.W, ff.bias, ff.group, np.arange(len(ff.group)))[0]
-
-
-def sample_folded_domain(
-    basis: lat.OrientedBasis, ff: FoldedBoundary, seed: int = 0, count: int = 10_000
-) -> np.ndarray:
-    """Fold images of uniform D(B) samples: the sorted c mapped back to y~."""
-    Yt = lat.sample_domain(basis, seed=seed, count=count)
-    return sort_fold(ff, Yt) @ basis.Ginv[1:, 1:].T
-
-
-def folded_piece_count_oracle(
-    basis: lat.OrientedBasis,
-    f: bnd.BoundaryFunction,
-    schedule: FoldingSchedule,
-    samples: int = 60_000,
-    seed: int = 0,
-) -> int:
-    """Distinct bisector hyperplanes active over the folded domain.
-
-    Sampled route: distinct hyperplanes behind the active piece over dense
-    folded-domain samples. Enumeration route: surviving neighbor pairs
-    deduplicated by hyperplane. The two must agree exactly.
-    """
-    planes = set(folded_structure(f, schedule)[1].tolist())
-    pts = sample_folded_domain(
-        basis, build_folded_boundary(f, schedule), seed=seed, count=samples
-    )
-    _, act = bnd.eval_boundary_batch(f, pts)
-    sampled = set(np.unique(f.memberships[act, 1]).tolist())
-    if sampled != planes:
-        raise InternalCheckError(
-            f"folded piece count mismatch: sampled {len(sampled)} hyperplanes, "
-            f"enumeration {len(planes)} (missing {sorted(planes - sampled)}, "
-            f"extra {sorted(sampled - planes)}); try more samples"
-        )
-    return len(planes)
-
-
-# dn-const-a's stated 2n-1 is the A_n count carried over: with ||b_1||^2 = 4
-# there is no vertical neighbour x - x' = b_1, so the orbits of neighbour pairs
-# under the transpositions of b_2..b_n, and hence the folded pieces, number 2n-3
-_STATED_SKETCH = {
-    lat.FAMILY_AN: (None, None),
-    lat.FAMILY_DN_CONST_A: (lambda n: 2 * n - 1, None),
-    lat.FAMILY_DN_SECOND: (lambda n: 6 * n - 6, lambda n: 6 * n - 12),
-    lat.FAMILY_EN: (lambda n: 12 * n - 40, lambda n: 12 * n - 28),
-}
-
-
-def folded_count_report(
-    basis: lat.OrientedBasis,
-    f: bnd.BoundaryFunction,
-    schedule: FoldingSchedule,
-    densities: tuple[int, int] = (20_000, 60_000),
-    seed: int = 0,
-) -> dict:
-    """Side-by-side folded counts: enumeration, two sampling densities, and
-    the stated closed-form constants versus the arithmetic their derivation
-    sketches imply. Nothing is adjudicated here; the caller compares."""
-    fid = basis.fid
-    memberships, planes, groups = folded_structure(f, schedule)
-    ff = build_folded_boundary(f, schedule)
-    sampled = []
-    for i, dens in enumerate(densities):
-        pts = sample_folded_domain(basis, ff, seed=(seed, i), count=dens)
-        _, act = bnd.eval_boundary_batch(f, pts)
-        sampled.append(len(np.unique(f.memberships[act, 1])))
-    stated_fn, sketch_fn = _STATED_SKETCH[fid.family] if fid else (None, None)
-    return {
-        "family": fid.family if fid is not None else "custom",
-        "n": basis.n,
-        "enumerated": len(planes),
-        "enumerated_pairs": len(memberships),
-        "surviving_groups": len(groups),
-        "sampled_lo": sampled[0],
-        "sampled_hi": sampled[1],
-        "measured": sampled[1],
-        "stated": stated_fn(basis.n) if stated_fn else None,
-        "sketch": sketch_fn(basis.n) if sketch_fn else None,
-        "stable": sampled[0] == sampled[1],
-        "match_enum": sampled[0] == len(planes) == sampled[1],
-    }
-
-
-def reduce_to_parallelotope(
-    basis: lat.OrientedBasis, y0: np.ndarray, M: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Translate a point of the 2^M-extended box back into the base cell.
-
-    The input must lie in the box spanned by b_1 and 2^M b_2 .. 2^M b_n.
-    Returns (y, z) with y in the base cell, y0 = y + z B, and z the integer
-    shift (zero in its first coordinate).
-    """
-    if M < 0:
-        raise DomainError(f"M must be >= 0, got {M}")
-    arr = np.asarray(y0, dtype=float)
-    single = arr.ndim == 1
-    Y = arr.reshape(1, -1) if single else arr
-    if Y.shape[1] != basis.n:
-        raise DomainError(
-            f"point dimension {Y.shape[1]} does not match basis rank {basis.n}"
-        )
-    alpha = Y @ basis.Ginv
-    scale = float(2**M)
-    tol = lat.GEOM_TOL
-    bad_first = (alpha[:, 0] < -tol) | (alpha[:, 0] >= 1.0 + tol)
-    bad_rest = (alpha[:, 1:] < -tol) | (alpha[:, 1:] >= scale + tol)
-    if bad_first.any() or bad_rest.any():
-        i = int(np.flatnonzero(bad_first | bad_rest.any(axis=1))[0])
-        raise DomainError(
-            f"point {Y[i]} lies outside the extended box (coordinates {alpha[i]})"
-        )
-    z = np.zeros(Y.shape, dtype=np.int64)
-    z[:, 1:] = np.clip(np.floor(alpha[:, 1:]).astype(np.int64), 0, 2**M - 1)
-    y = Y - z @ basis.G
-    if single:
-        return y[0], z[0]
-    return y, z

@@ -1,5 +1,5 @@
-"""Root-lattice bases: Gram construction, orientation, corners, relevant vectors,
-and brute-force nearest-point oracles.
+"""Root-lattice bases: Gram construction, orientation, corners, nearest-corner
+search, uniform sampling of P(B) and of its projection D(B), and JSON export.
 
 Bases are kept as generator matrices G whose rows b_1..b_n satisfy b_j . e_1 = 0
 for j >= 2 and b_1 . e_1 > 0, so the first coordinate plays the role of the
@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ConstructionError,
     DomainError,
     FactorizationError,
     InternalCheckError,
@@ -40,7 +39,6 @@ FAMILY_RANGES = {
 CORNER_CAP = 20
 GEOM_TOL = 1e-9
 FIRST_COORD_TOL = 1e-12
-BOX_BUDGET = 2_000_000
 # query rows per block of cvp_corners_batch
 CVP_ROWS = 4096
 
@@ -188,53 +186,6 @@ def enumerate_corners(basis: OrientedBasis) -> CornerSet:
     )
 
 
-def _box_vectors(n: int, r: int) -> np.ndarray:
-    """All integer vectors in [-r, r]^n, materialized in blocks along axis 0."""
-    side = 2 * r + 1
-    if side**n > 50_000_000:
-        raise ResourceError(f"box enumeration (2r+1)^n = {side**n} too large")
-    grid = np.indices((side,) * n).reshape(n, side**n).T - r
-    return grid.astype(np.int64)
-
-
-def relevant_vectors(basis: OrientedBasis, r: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal-norm shell by exhaustive enumeration of z in [-r, r]^n.
-
-    For root lattices the Voronoi-relevant vectors are exactly this shell, and
-    its size is the kissing number. Returns (Z, X) with X = Z G.
-
-    The box is enumerated in 2r + 1 blocks along the first coordinate to keep
-    memory at a few hundred MB at n = 8, r = 4.
-    """
-    if not basis.gram_is_integral:
-        raise ConstructionError("shell enumeration needs an integer gram matrix")
-    gram = basis.gram.astype(np.int64)
-    tail = _box_vectors(basis.n - 1, r)
-    minn = None
-    blocks: list[np.ndarray] = []
-    for a in range(-r, r + 1):
-        zblock = np.concatenate(
-            [np.full((tail.shape[0], 1), a, dtype=np.int64), tail], axis=1
-        )
-        norms = np.einsum("ij,jk,ik->i", zblock, gram, zblock)
-        pos = norms > 0
-        if not pos.any():
-            continue
-        bmin = norms[pos].min()
-        if minn is None or bmin < minn:
-            minn = bmin
-            blocks = [zblock[pos & (norms == bmin)]]
-        elif bmin == minn:
-            blocks.append(zblock[pos & (norms == bmin)])
-    if minn is None:
-        raise InternalCheckError("empty shell: no nonzero vectors enumerated")
-    Z = np.concatenate(blocks, axis=0)
-    # canonical order for reproducibility
-    order = np.lexsort(Z.T[::-1])
-    Z = Z[order]
-    return Z, Z @ basis.G
-
-
 def cvp_corners_batch(basis: OrientedBasis, Y: np.ndarray) -> np.ndarray:
     """Row indices into the lexicographic corner list of the nearest corner.
 
@@ -251,30 +202,6 @@ def cvp_corners_batch(basis: OrientedBasis, Y: np.ndarray) -> np.ndarray:
         d2 = x2[None, :] - 2.0 * (block @ X.T)
         out[lo : lo + CVP_ROWS] = d2.argmin(axis=1)
     return out
-
-
-def cvp_box(basis: OrientedBasis, y: np.ndarray, r: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force nearest lattice point over z in floor(alpha) + [-r, r+1]^n.
-
-    Ground-truth oracle for small n; raises ResourceError when the box exceeds
-    the budget. Ties go to the lexicographically smallest z.
-    """
-    if r < 1:
-        raise DomainError("cvp_box requires r >= 1")
-    n = basis.n
-    side = 2 * r + 2
-    if side**n > BOX_BUDGET:
-        raise ResourceError(f"cvp_box budget exceeded: (2r+2)^n = {side**n}")
-    y = np.asarray(y, dtype=float)
-    base = np.floor(y @ basis.Ginv).astype(np.int64)
-    offs = np.array(list(itertools.product(range(-r, r + 2), repeat=n)), dtype=np.int64)
-    Z = base[None, :] + offs
-    X = Z @ basis.G
-    d2 = ((X - y) ** 2).sum(axis=1)
-    rows = np.flatnonzero(d2 == d2.min())
-    # lexicographic tie-break over the candidate z rows
-    best = rows[np.lexsort(Z[rows].T[::-1])[0]]
-    return Z[best].copy(), X[best].copy()
 
 
 def sample_parallelotope(

@@ -81,13 +81,6 @@ class Network:
                 )
 
 
-@dataclass(frozen=True)
-class NetworkStats:
-    depth: int
-    width: int
-    parameters: int
-
-
 def _apply_acts(acts: tuple[str, ...], Z: np.ndarray) -> np.ndarray:
     out = Z.copy()
     kinds = np.array(acts)
@@ -119,34 +112,22 @@ def forward(network: Network, x: np.ndarray) -> np.ndarray:
     return X[0] if single else X
 
 
-def stats(network: Network) -> NetworkStats:
-    depth = len(network.layers)
-    width = max((l.out_dim for l in network.layers), default=0)
-    params = sum(l.W.size + l.b.size for l in network.layers)
-    return NetworkStats(depth=depth, width=width, parameters=params)
-
-
-def reflection_block(v: np.ndarray, p: float = 0.0, dim: int | None = None) -> Network:
+def reflection_block(v: np.ndarray) -> Network:
     """Two-layer fragment reflecting points on the negative side of the
-    hyperplane {x . v = p} and passing the rest through unchanged."""
+    hyperplane {x . v = 0} and passing the rest through unchanged."""
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ConstructionError("reflection hyperplane normal is zero")
-    if dim is not None and v.shape[0] != dim:
-        raise ConstructionError(
-            f"normal dimension {v.shape[0]} does not match dim {dim}"
-        )
     d = v.shape[0]
     vhat = v / norm
-    phat = float(p) / norm
     W1 = np.zeros((d + 2, d))
     W1[0] = vhat
     W1[1] = vhat
     W1[2:] = np.eye(d)
     b1 = np.zeros(d + 2)
-    b1[0] = -phat
-    b1[1] = -phat
+    # the hyperplane units' offset -p at p = 0, which network_to_json prints as -0.0
+    b1[:2] = -0.0
     acts1 = (ACT_RELU, ACT_NEG_RELU) + (ACT_IDENTITY,) * d
     W2 = np.zeros((d, d + 2))
     W2[:, 1] = 2.0 * vhat
@@ -232,19 +213,6 @@ def _tree_layers(sizes: list[int], combine: str) -> list[Layer]:
     return layers
 
 
-def max_net(k: int) -> Network:
-    """Fragment computing the max of k scalar inputs; depth 2*ceil(log2 k)."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    return Network(layers=tuple(_tree_layers([k], "max")), meta={"kind": "max", "k": k})
-
-
-def min_net(k: int) -> Network:
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    return Network(layers=tuple(_tree_layers([k], "min")), meta={"kind": "min", "k": k})
-
-
 def base_depth(schedule: fold.FoldingSchedule, group_sizes: list[int]) -> int:
     """Layer count of the base (unextended) network: two per reflection, one
     piece stage, and two per max/min tree stage."""
@@ -273,7 +241,7 @@ def synthesize(
         )
     n = basis.n
     d = n - 1
-    memberships, _, _ = fold.folded_structure(f, schedule)
+    memberships = fold.folded_structure(f, schedule)
     sizes = np.unique(memberships[:, 0], return_counts=True)[1].tolist()
 
     layers: list[Layer] = []
@@ -282,7 +250,7 @@ def synthesize(
 
     base: list[Layer] = []
     for step in schedule.steps:
-        base.extend(reflection_block(step.v, 0.0).layers)
+        base.extend(reflection_block(step.v).layers)
     plane_rows = memberships[:, 1]
     base.append(
         Layer(

@@ -14,6 +14,8 @@ from latticecpwl import lattices as lat
 from latticecpwl.errors import ConstructionError, InternalCheckError
 from latticecpwl.lattices import FamilyId
 
+import oracles
+
 # closed-form piece counts, frozen from independent evaluation of the sums
 AN_COUNTS = {2: 3, 3: 8, 4: 20, 5: 48, 6: 112, 7: 256, 8: 576}
 DN_CONST_A_COUNTS = {3: 5, 4: 18, 5: 56, 6: 160, 7: 432, 8: 1120}
@@ -64,14 +66,14 @@ def test_build_boundary_a2_groups():
     basis = lat.build_basis(FamilyId("an", 2))
     f = bd.build_boundary(basis)
     assert sorted(len(g) for g in f.group_planes) == [1, 2]
-    assert bd.count_pieces_oracle(f) == 3
+    assert len(f.memberships) == 3
 
 
 def test_build_boundary_a3_structure(a3):
     _, f = a3
     assert len(f.group_planes) == 4
     assert sorted(len(g) for g in f.group_planes) == [1, 2, 2, 3]
-    assert bd.count_pieces_oracle(f) == 8
+    assert len(f.memberships) == 8
     # 8 memberships sit on only 5 distinct hyperplanes
     assert len(f.plane_keys) == 5
 
@@ -81,7 +83,7 @@ def test_build_boundary_dn_const_a3_simplex_sizes():
     f = bd.build_boundary(basis)
     # two 1-simplices and one 3-simplex; the all-ones corner has no neighbors
     assert sorted(len(g) for g in f.group_planes) == [1, 1, 3]
-    assert bd.count_pieces_oracle(f) == 5
+    assert len(f.memberships) == 5
 
 
 def test_build_boundary_dn_second3_merges_chain_corners():
@@ -90,7 +92,7 @@ def test_build_boundary_dn_second3_merges_chain_corners():
     # 7 neighbor pairs, two chain corners share their single bisector
     assert f.pair_memb.shape[0] == 7
     assert sorted(len(g) for g in f.group_planes) == [1, 2, 3]
-    assert bd.count_pieces_oracle(f) == 6
+    assert len(f.memberships) == 6
     merged = [zs for zs in f.group_corner_z if len(zs) == 2]
     assert len(merged) == 1
 
@@ -126,7 +128,7 @@ def test_oracle_matches_formula_small(family, lo, hi):
     for n in range(lo, hi + 1):
         fid = FamilyId(family, n)
         f = bd.build_boundary(lat.build_basis(fid))
-        assert bd.count_pieces_oracle(f) == bd.count_pieces_formula(fid)
+        assert len(f.memberships) == bd.count_pieces_formula(fid)
 
 
 def test_bisector_through_midpoint(a3):
@@ -469,23 +471,23 @@ def test_lipschitz_bound(a3):
     fp, _ = bd.eval_boundary_batch(f, P)
     fq, _ = bd.eval_boundary_batch(f, Q)
     lhs = np.abs(fp - fq)
-    rhs = f.lipschitz_bound * np.sqrt(((P - Q) ** 2).sum(axis=1))
+    rhs = oracles.lipschitz_bound(f) * np.sqrt(((P - Q) ** 2).sum(axis=1))
     assert np.all(lhs <= rhs + 1e-9)
 
 
 def test_count_pieces_sampled_matches_small():
-    cases = [("an", 2, 200, 3), ("an", 3, 60, 8), ("dn-second", 3, 60, 6)]
-    for family, n, density, expected in cases:
+    cases = [("an", 2, 3), ("an", 3, 8), ("dn-second", 3, 6)]
+    for family, n, expected in cases:
         basis = lat.build_basis(FamilyId(family, n))
         f = bd.build_boundary(basis)
-        assert bd.count_pieces_sampled(basis, f, grid_density=density) == expected
+        assert bd.count_pieces_sampled(basis, f) == expected
 
 
 def test_count_pieces_sampled_never_exceeds_oracle():
     basis = lat.build_basis(FamilyId("dn-const-a", 5))
     f = bd.build_boundary(basis)
-    sampled = bd.count_pieces_sampled(basis, f, grid_density=30, seed=4)
-    assert sampled <= bd.count_pieces_oracle(f)
+    sampled = bd.count_pieces_sampled(basis, f, seed=4)
+    assert sampled <= len(f.memberships)
 
 
 def test_piece_connectivity_small_n():
@@ -561,7 +563,7 @@ def test_piece_count_report_and_json():
     row = bd.piece_count_report(FamilyId("an", 3))
     assert row["formula"] == row["oracle"] == 8
     assert row["match"] is True
-    en_row = bd.piece_count_report(FamilyId("en", 6), grid_density=12)
+    en_row = bd.piece_count_report(FamilyId("en", 6))
     assert en_row["adjudicated_reading"] == "multiplicity_over_i"
     # `count --format json` prints the row as it is: plain JSON types only
     assert json.loads(json.dumps(en_row)) == en_row

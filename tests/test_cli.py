@@ -194,6 +194,16 @@ def test_eval_unparseable_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "decode"])
+def test_non_utf8_file_exits_2(capsys, tmp_path, command):
+    pts = tmp_path / "pts.txt"
+    pts.write_bytes(b"\xff\xfe0.1 0.2\n")
+    code, out, err = run(capsys, [command, "--family", "an", "--n", "3", "--in", str(pts)])
+    assert code == 2
+    assert out == ""
+    assert f"cannot read {pts}: " in err
+
+
 @pytest.mark.parametrize("command,row", [("eval", "0.1 0.2"), ("decode", "0.5 0.1 0.2")])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_points_exit_2(capsys, tmp_path, command, row, bad):

@@ -14,6 +14,8 @@ from latticecpwl import network as net
 from latticecpwl.errors import ConstructionError, DomainError
 from latticecpwl.lattices import FamilyId
 
+import oracles
+
 # frozen from independent enumeration: (memberships, hyperplanes, groups)
 # surviving on the folded domain
 FOLDED_STRUCTURE = {
@@ -196,7 +198,8 @@ def test_fold_invariance_rejects_bad_count():
 @pytest.mark.parametrize("family,n", sorted(FOLDED_STRUCTURE))
 def test_folded_structure_frozen(family, n):
     _, basis, f, sched = make(family, n)
-    memberships, planes, groups = fo.folded_structure(f, sched)
+    memberships = fo.folded_structure(f, sched)
+    planes, groups = np.unique(memberships[:, 1]), np.unique(memberships[:, 0])
     assert (len(memberships), len(planes), len(groups)) == FOLDED_STRUCTURE[
         (family, n)
     ]
@@ -288,7 +291,7 @@ def test_fold_first_rejects_steps_that_are_not_a_sort(family, n, pairs):
 def test_folded_oracle_small():
     for family, n in [("an", 3), ("dn-const-a", 3), ("dn-const-a", 6), ("dn-second", 5), ("en", 6)]:
         _, basis, f, sched = make(family, n)
-        got = fo.folded_piece_count_oracle(basis, f, sched, samples=40_000)
+        got = oracles.folded_piece_count_oracle(basis, f, sched, samples=40_000)
         assert got == FOLDED_STRUCTURE[(family, n)][1]
 
 
@@ -298,7 +301,7 @@ def test_folded_oracle_an_linear_in_n():
     for n in ns:
         _, basis, f, sched = make("an", int(n))
         samples = 300_000 if n == 8 else 60_000
-        vals.append(fo.folded_piece_count_oracle(basis, f, sched, samples=samples))
+        vals.append(oracles.folded_piece_count_oracle(basis, f, sched, samples=samples))
     coef = np.polyfit(ns, vals, 1)
     fit = np.polyval(coef, ns)
     assert np.abs(np.array(vals) - fit).max() <= 1e-9
@@ -306,7 +309,7 @@ def test_folded_oracle_an_linear_in_n():
 
 def test_folded_count_report_dn_second():
     _, basis, f, sched = make("dn-second", 5)
-    row = fo.folded_count_report(basis, f, sched)
+    row = oracles.folded_count_report(basis, f, sched)
     assert row["enumerated"] == 15
     assert row["enumerated_pairs"] == 18
     assert row["stated"] == 24
@@ -317,7 +320,7 @@ def test_folded_count_report_dn_second():
 
 def test_folded_count_report_en():
     _, basis, f, sched = make("en", 6)
-    row = fo.folded_count_report(basis, f, sched)
+    row = oracles.folded_count_report(basis, f, sched)
     assert row["enumerated"] == 26
     assert row["enumerated_pairs"] == 32
     assert row["stated"] == 32
@@ -329,7 +332,8 @@ def test_sample_folded_domain_two_routes():
     # the sampler's sort images equal the reflection layers' images of the
     # same seeded samples
     _, basis, f, sched = make("an", 4)
-    pts = fo.sample_folded_domain(basis, fo.build_folded_boundary(f, sched), seed=5, count=5_000)
+    ff = fo.build_folded_boundary(f, sched)
+    pts = oracles.sample_folded_domain(basis, ff, seed=5, count=5_000)
     assert pts.shape == (5_000, 3)
     ref = net.forward(reflection_layers(basis, f, sched), lat.sample_domain(basis, seed=5, count=5_000))
     np.testing.assert_allclose(pts, ref, rtol=0, atol=1e-12)
@@ -340,7 +344,7 @@ def test_sample_folded_domain_two_routes():
 def test_reduce_identity_inside_base_cell():
     basis = lat.build_basis(FamilyId("an", 3))
     Y = lat.sample_parallelotope(basis, seed=6, count=200)
-    y, z = fo.reduce_to_parallelotope(basis, Y, M=2)
+    y, z = oracles.reduce_to_parallelotope(basis, Y, M=2)
     assert np.array_equal(y, Y)
     assert not z.any()
 
@@ -349,7 +353,7 @@ def test_reduce_known_shift():
     basis = lat.build_basis(FamilyId("an", 3))
     y = lat.sample_parallelotope(basis, seed=7, count=1)[0]
     y0 = y + 2 * basis.G[1]
-    got, z = fo.reduce_to_parallelotope(basis, y0, M=2)
+    got, z = oracles.reduce_to_parallelotope(basis, y0, M=2)
     assert np.array_equal(z, [0, 2, 0])
     assert np.abs(got - y).max() <= 1e-12
 
@@ -361,7 +365,7 @@ def test_reduce_matches_floor_oracle_and_lands_in_cell():
     alpha = rng.random((1_000, 4))
     alpha[:, 1:] *= 2**M
     Y0 = alpha @ basis.G
-    y, z = fo.reduce_to_parallelotope(basis, Y0, M)
+    y, z = oracles.reduce_to_parallelotope(basis, Y0, M)
     assert np.array_equal(z[:, 1:], np.floor(Y0 @ basis.Ginv)[:, 1:].astype(np.int64))
     assert not z[:, 0].any()
     back = y + z @ basis.G
@@ -373,8 +377,8 @@ def test_reduce_matches_floor_oracle_and_lands_in_cell():
 def test_reduce_rejects_outside_extended_box():
     basis = lat.build_basis(FamilyId("an", 3))
     with pytest.raises(DomainError):
-        fo.reduce_to_parallelotope(basis, 5.0 * basis.G[1], M=2)
+        oracles.reduce_to_parallelotope(basis, 5.0 * basis.G[1], M=2)
     with pytest.raises(DomainError):
-        fo.reduce_to_parallelotope(basis, -0.5 * basis.G[0], M=1)
+        oracles.reduce_to_parallelotope(basis, -0.5 * basis.G[0], M=1)
     with pytest.raises(DomainError):
-        fo.reduce_to_parallelotope(basis, np.zeros(4), M=1)
+        oracles.reduce_to_parallelotope(basis, np.zeros(4), M=1)

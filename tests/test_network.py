@@ -17,6 +17,8 @@ from latticecpwl import network as net
 from latticecpwl.errors import ConstructionError, DomainError
 from latticecpwl.lattices import FamilyId
 
+import oracles
+
 
 def make(family, n):
     fid = FamilyId(family, n)
@@ -69,7 +71,7 @@ def test_forward_empty_and_identity():
 
 def test_reflection_block_sides():
     v = np.array([1.0, 1.0])
-    block = net.reflection_block(v, p=0.0)
+    block = net.reflection_block(v)
     assert len(block.layers) == 2
     on_plane = np.array([1.0, -1.0])
     assert np.abs(net.forward(block, on_plane) - on_plane).max() <= 1e-15
@@ -81,18 +83,8 @@ def test_reflection_block_sides():
     assert np.abs(net.forward(block, negative) - expected).max() <= 1e-12
 
 
-def test_reflection_block_offset_hyperplane():
-    v = np.array([2.0, 0.0])
-    block = net.reflection_block(v, p=2.0)  # hyperplane x_0 = 1
-    below = np.array([0.25, 3.0])
-    out = net.forward(block, below)
-    assert np.abs(out - [1.75, 3.0]).max() <= 1e-12
-    above = np.array([1.5, -1.0])
-    assert np.array_equal(net.forward(block, above), above)
-
-
 def test_reflection_block_idempotent_image():
-    block = net.reflection_block(np.array([0.3, -1.2, 0.5]), p=0.4)
+    block = net.reflection_block(np.array([0.3, -1.2, 0.5]))
     rng = np.random.default_rng(0)
     X = rng.normal(size=(500, 3))
     once = net.forward(block, X)
@@ -138,7 +130,7 @@ def test_translation_blocks_match_floor_oracle(M):
     keep = ((frac > 1e-6) & (frac < 1 - 1e-6)).all(axis=1)
     Y0 = alpha[keep] @ basis.G
     got = net.forward(blocks, Y0)
-    y, _ = fo.reduce_to_parallelotope(basis, Y0, M)
+    y, _ = oracles.reduce_to_parallelotope(basis, Y0, M)
     assert np.abs(got - y).max() <= 1e-9
 
 
@@ -154,36 +146,35 @@ def test_translation_blocks_periodicity():
     assert np.abs(b - Y).max() <= 1e-9
 
 
+def tree(k, combine):
+    """The max or min tree of synthesize over k scalar inputs."""
+    return net.Network(layers=tuple(net._tree_layers([k], combine)), meta={})
+
+
 def test_max_min_net_examples():
-    assert float(net.forward(net.max_net(2), np.array([3.0, 5.0]))[0]) == 5.0
-    assert float(net.forward(net.min_net(3), np.ones(3))[0]) == 1.0
-    assert len(net.max_net(1).layers) == 0
-    with pytest.raises(DomainError):
-        net.max_net(0)
+    assert float(net.forward(tree(2, "max"), np.array([3.0, 5.0]))[0]) == 5.0
+    assert float(net.forward(tree(3, "min"), np.ones(3))[0]) == 1.0
+    assert len(tree(1, "max").layers) == 0
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 7])
 def test_max_min_net_random(k):
     rng = np.random.default_rng(k)
     X = rng.normal(size=(100_000 // k, k))
-    mx = net.forward(net.max_net(k), X)[:, 0]
-    mn = net.forward(net.min_net(k), X)[:, 0]
+    mx = net.forward(tree(k, "max"), X)[:, 0]
+    mn = net.forward(tree(k, "min"), X)[:, 0]
     assert np.abs(mx - X.max(axis=1)).max() <= 1e-12
     assert np.abs(mn - X.min(axis=1)).max() <= 1e-12
-    assert len(net.max_net(k).layers) == 2 * math.ceil(math.log2(k))
+    assert len(tree(k, "max").layers) == 2 * math.ceil(math.log2(k))
 
 
 def test_stats_and_depth_accounting():
     basis, f, sched = make("an", 3)
     nw = net.synthesize(basis, sched, f, M=0)
-    st = net.stats(nw)
-    assert st.depth == 9
-    assert st.width == 7
-    assert st.depth == nw.meta["depth"]
-    assert st.width == nw.meta["width"]
-    assert st.parameters == sum(l.W.size + l.b.size for l in nw.layers)
+    assert nw.meta["depth"] == len(nw.layers) == 9
+    assert nw.meta["width"] == max(l.out_dim for l in nw.layers) == 7
     nw2 = net.synthesize(basis, sched, f, M=2)
-    assert net.stats(nw2).depth == 9 + 6
+    assert nw2.meta["depth"] == len(nw2.layers) == 9 + 6
     # the reduction stage never exceeds the width bound of the construction
     for layer in nw2.layers:
         if layer.tag in (net.TAG_TRANSLATION, net.TAG_REFLECTION):
@@ -205,7 +196,7 @@ def test_depth_formula_frozen(family, n, depth):
     basis, f, sched = make(family, n)
     nw = net.synthesize(basis, sched, f, M=0)
     assert nw.meta["depth"] == depth
-    memberships, _, _ = fo.folded_structure(f, sched)
+    memberships = fo.folded_structure(f, sched)
     sizes = list(Counter(memberships[:, 0].tolist()).values())
     assert depth == net.base_depth(sched, sizes)
 
@@ -254,7 +245,7 @@ def test_synthesized_equals_extension(M):
     keep = ((frac > 1e-6) & (frac < 1 - 1e-6)).all(axis=1)
     Y0 = alpha[keep] @ basis.G
     out = net.forward(nw, Y0)[:, 0]
-    y, _ = fo.reduce_to_parallelotope(basis, Y0, M)
+    y, _ = oracles.reduce_to_parallelotope(basis, Y0, M)
     ref, _ = bd.eval_boundary_batch(f, y[:, 1:])
     assert np.abs(out - ref).max() <= 1e-9
 
@@ -275,9 +266,9 @@ def test_distinct_gradients_match_folded_oracle():
     for family, n in [("an", 3), ("dn-second", 4)]:
         basis, f, sched = make(family, n)
         nw = net.synthesize(basis, sched, f, M=0)
-        expected = fo.folded_piece_count_oracle(basis, f, sched, samples=40_000)
+        expected = oracles.folded_piece_count_oracle(basis, f, sched, samples=40_000)
         ff = fo.build_folded_boundary(f, sched)
-        pts = fo.sample_folded_domain(basis, ff, seed=14, count=8_000)
+        pts = oracles.sample_folded_domain(basis, ff, seed=14, count=8_000)
         # keep points whose active piece wins by a clear margin, so the
         # gradient is constant in the finite-difference neighborhood
         H = pts @ f.A.T + f.c
