@@ -8,7 +8,7 @@ the projected zonotope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class McEstimate:
     samples: int
     seed: int
     stderr: float
-    extras: dict = field(default_factory=dict)
 
 
 def mc_report_row(est: McEstimate, bound: float) -> dict:
@@ -173,7 +172,6 @@ def hyperplane_decoding_error_mc(
     pred = (Y[:, 0] > 0.5 * basis.b1_e1).astype(np.int8)
     if n <= BRUTE_DECODER_MAX_N:
         bits = _nearest_corner_bits(basis, Y)
-        decoder = "brute"
     else:
         fid = basis.fid
         if fid is None or fid.family != lat.FAMILY_AN:
@@ -189,14 +187,12 @@ def hyperplane_decoding_error_mc(
             raise InternalCheckError(
                 f"specialized decoder disagrees with brute force at sample {bad}"
             )
-        decoder = "sorted-fast"
     ind = (pred != bits).astype(float)
     return McEstimate(
         estimate=float(ind.mean()),
         samples=samples,
         seed=seed,
         stderr=float(ind.std(ddof=1) / math.sqrt(samples)),
-        extras={"decoder": decoder, "rule": "first coordinate above half height"},
     )
 
 

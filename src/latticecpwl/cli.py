@@ -102,7 +102,7 @@ def cmd_fold(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
         "family": fid.family,
         "n": fid.n,
         "samples": args.samples,
-        "max_dev": fld.verify_fold_invariance(basis, f, schedule, args.seed, args.samples),
+        "max_dev": fld.verify_fold_invariance(f, schedule, args.seed, args.samples),
     }
     code = 0 if row["max_dev"] <= FOLD_DEV_LIMIT else 1
     if args.format == "json":
@@ -133,10 +133,13 @@ def cmd_eval(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
 def cmd_decode(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     basis = lat.build_basis(fid)
     ff = _fold_first(basis)
-    pts, _ = _read_points(args.infile, fid.n)
+    pts, lines = _read_points(args.infile, fid.n)
     # reduce into the fundamental parallelotope so arbitrary points decode to
-    # the bit of their coset representative
+    # the bit of their coset representative; where the spacing of alpha
+    # exceeds the tie band, its fractional part is rounding noise
     alpha = pts @ basis.Ginv
+    far = (np.spacing(np.abs(alpha)) > bnd.DECODE_TOL).any(axis=1)
+    _reject_rows(args.infile, lines, far, "is too far from the origin to reduce")
     reduced = (alpha - np.floor(alpha)) @ basis.G
     bits = bnd.decode_bit_batch(reduced, fld.eval_folded_batch(ff, reduced[:, 1:]))
     # bits 0, 1 and -1 index "0", "1" and (from the end) "?"

@@ -10,8 +10,6 @@ the fold.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +18,9 @@ from . import boundary as bnd
 from . import lattices as lat
 from .errors import ConstructionError, DomainError
 
-# fixed chunk count for parallel verification; results are merged by max so
-# the outcome is independent of worker count
+# fold verification draws its samples in this many chunks, seeded (seed, i)
 FOLD_CHUNKS = 16
+# read only by the benchmark's machine block
 THREADS_ENV = "LATTICE_FOLD_THREADS"
 
 
@@ -87,47 +85,31 @@ def _chunk_sizes(count: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(FOLD_CHUNKS)]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise DomainError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-
-
 def verify_fold_invariance(
-    basis: lat.OrientedBasis,
     f: bnd.BoundaryFunction,
     schedule: FoldingSchedule,
     seed: int = 0,
     count: int = 10_000,
 ) -> float:
-    """Max |f(y~) - f(F(y~))| over exact D(B) samples from P(B)'s lower facets.
-    The two sides take independent routes: f(y~) is dense, the min-max over
-    every membership at y~; f(F(y~)) is fold-first, the sort F of c = y~ Gt^T
-    and then the min-max over the surviving memberships in c.
+    """Max |f(y~) - f(F(y~))| over exact D(B) samples from P(B)'s lower facets,
+    with B = f.basis. The two sides take independent routes: f(y~) is dense,
+    the min-max over every membership at y~; f(F(y~)) is fold-first, the sort
+    F of c = y~ Gt^T and then the min-max over the surviving memberships in c.
 
-    Sampling is split into FOLD_CHUNKS independently seeded chunks evaluated
-    by a thread pool (capped by the LATTICE_FOLD_THREADS variable); the merge
-    is a max, so the result is byte-identical for any worker count.
+    The count samples are drawn in FOLD_CHUNKS chunks, chunk i seeded
+    (seed, i) with _chunk_sizes(count)[i] points, so seed and count alone fix
+    the samples and the result.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-
     ff = build_folded_boundary(f, schedule)
 
-    def run_chunk(i: int, m: int) -> float:
-        Yt = lat.sample_domain(basis, seed=(seed, i), count=m)
+    def chunk_dev(i: int, m: int) -> float:
+        Yt = lat.sample_domain(f.basis, seed=(seed, i), count=m)
         a, _ = bnd.eval_boundary_batch(f, Yt)
         return float(np.abs(a - eval_folded_batch(ff, Yt)).max())
 
-    sizes = _chunk_sizes(count)
-    jobs = [(i, m) for i, m in enumerate(sizes) if m > 0]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        devs = list(pool.map(lambda im: run_chunk(*im), jobs))
-    return max(devs)
+    return max(chunk_dev(i, m) for i, m in enumerate(_chunk_sizes(count)) if m > 0)
 
 
 def surviving_pairs(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.ndarray:

@@ -212,18 +212,33 @@ def test_decode_error_deterministic_per_seed():
     assert a == b
 
 
-def test_decode_error_within_bound_at_n6():
+def spy_an_corner_bits(monkeypatch) -> list:
+    """Record each call of the sorted A_n decoder."""
+    calls = []
+    real = ana._an_corner_bits
+
+    def spy(basis, Y):
+        calls.append(basis.n)
+        return real(basis, Y)
+
+    monkeypatch.setattr(ana, "_an_corner_bits", spy)
+    return calls
+
+
+def test_decode_error_within_bound_at_n6(monkeypatch):
+    calls = spy_an_corner_bits(monkeypatch)
     basis = make("an", 6)
     est = ana.hyperplane_decoding_error_mc(basis, seed=11, samples=50_000)
     assert est.estimate == pytest.approx(0.07454, abs=1e-12)
     assert est.estimate + 3 * est.stderr < ana.decoding_error_bound(6)
-    assert est.extras["decoder"] == "brute"
+    assert calls == []  # the brute-force decoder ran
 
 
-def test_decode_error_fast_decoder_beyond_brute_cap():
+def test_decode_error_fast_decoder_beyond_brute_cap(monkeypatch):
+    calls = spy_an_corner_bits(monkeypatch)
     basis = make("an", 12)
     est = ana.hyperplane_decoding_error_mc(basis, seed=2, samples=5_000)
-    assert est.extras["decoder"] == "sorted-fast"
+    assert calls == [12]
     assert est.estimate == pytest.approx(0.0554, abs=1e-12)
 
 

@@ -259,6 +259,18 @@ def test_decode_reduces_shifted_points(capsys, tmp_path):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize("far", ["1e17 0.3 0.2", "0.1 -3e9 0.2"])
+def test_decode_point_too_far_to_reduce_exits_2(capsys, tmp_path, far):
+    # the spacing of alpha = y Ginv there exceeds the 1e-7 tie band, so the
+    # fractional part that picks the coset is rounding noise
+    pts = tmp_path / "pts.txt"
+    pts.write_text(f"0.5 0.1 0.2\n\n{far}\n")
+    code, out, err = run(capsys, ["decode", "--family", "an", "--n", "3", "--in", str(pts)])
+    assert code == 2
+    assert out == ""
+    assert f"{pts}: line 3 is too far from the origin to reduce" in err
+
+
 # ---------------------------------------------------------------------------
 # mc and bounds
 

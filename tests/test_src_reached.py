@@ -3,9 +3,8 @@
 Runs every command on small instances (every format, `synth --M 0/1`,
 `bounds` with and without the separation flags, `mc` past the brute-force
 decoder's rank cap) and the Python-API calls the benchmark makes, under a
-profiler that records each function entered, the fold pool's threads
-included. A function that none of this reaches belongs in the tests or
-nowhere.
+profiler that records each function entered. A function that none of this
+reaches belongs in the tests or nowhere.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import io
 import os
 import pathlib
 import sys
-import threading
 
 import numpy as np
 
@@ -88,14 +86,12 @@ def test_every_src_function_runs(tmp_path):
             codes.add(frame.f_code)
 
     sys.setprofile(profile)
-    threading.setprofile(profile)
     try:
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) in (0, 1), argv
         benchmark_api_calls()
     finally:
-        threading.setprofile(None)
         sys.setprofile(None)
     entered = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
     never = [name for key, name in defined_functions().items() if key not in entered]
