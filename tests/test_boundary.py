@@ -483,11 +483,55 @@ def test_count_pieces_sampled_matches_small():
         assert bd.count_pieces_sampled(basis, f) == expected
 
 
-def test_count_pieces_sampled_never_exceeds_oracle():
-    basis = lat.build_basis(FamilyId("dn-const-a", 5))
+EARLY_STOP_CASES = [
+    ("an", 4, 0), ("an", 4, 42), ("an", 6, 0), ("an", 6, 42),
+    ("dn-const-a", 5, 4), ("dn-second", 6, 0), ("dn-second", 6, 42),
+    ("en", 6, 0), ("en", 6, 42),
+    ("an", 8, 42),  # 575 of 576 memberships: every chunk and the tail block run
+]
+
+
+@pytest.mark.parametrize("family,n,seed", EARLY_STOP_CASES)
+def test_count_pieces_sampled_equals_whole_cloud_count(family, n, seed):
+    """Stopping once every membership is seen gives the count of one call
+    over the whole cloud, which never exceeds the enumerated count."""
+    basis = lat.build_basis(FamilyId(family, n))
     f = bd.build_boundary(basis)
-    sampled = bd.count_pieces_sampled(basis, f, seed=4)
-    assert sampled <= len(f.memberships)
+    _, act = bd.eval_boundary_batch(f, bd._domain_cloud(basis, seed))
+    whole = np.unique(act).size
+    assert bd.count_pieces_sampled(basis, f, seed=seed) == whole
+    assert whole <= len(f.memberships)
+
+
+def _rows_evaluated(monkeypatch, family, n, seed):
+    """Row count of every eval_boundary_batch call one sampled count makes."""
+    basis = lat.build_basis(FamilyId(family, n))
+    f = bd.build_boundary(basis)
+    calls, dense = [], bd.eval_boundary_batch
+
+    def spy(f, Yt):
+        calls.append(len(Yt))
+        return dense(f, Yt)
+
+    monkeypatch.setattr(bd, "eval_boundary_batch", spy)
+    sampled = bd.count_pieces_sampled(basis, f, seed=seed)
+    return calls, sampled, len(f.memberships)
+
+
+def test_count_pieces_sampled_stops_once_saturated(monkeypatch):
+    """en 6 at seed 42 sees all 156 memberships within its first chunk."""
+    calls, sampled, oracle = _rows_evaluated(monkeypatch, "en", 6, 42)
+    assert sampled == oracle == 156
+    assert len(calls) == 1 and calls[0] < bd.SAMPLE_BUDGET
+
+
+def test_count_pieces_sampled_unsaturated_evaluates_whole_cloud(monkeypatch):
+    """an 8 at seed 42 never sees one of its 576 memberships, so all
+    SAMPLE_BUDGET points are evaluated, each exactly once."""
+    calls, sampled, oracle = _rows_evaluated(monkeypatch, "an", 8, 42)
+    assert (sampled, oracle) == (575, 576)
+    assert sum(calls) == bd.SAMPLE_BUDGET == 200_000
+    assert len(calls) > 1
 
 
 def test_piece_connectivity_small_n():
