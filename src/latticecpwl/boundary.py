@@ -1,5 +1,6 @@
 """The CPWL decision-boundary function f: min over corner groups of max over
-bisector pieces, plus closed-form and sampled piece counts and the bit decoder.
+bisector pieces, plus closed-form piece counts, a certificate that every
+enumerated piece is one, and the bit decoder.
 
 Every C^1 corner x contributes a group of hyperplanes, one per closest C^0
 neighbor x'. A "piece" is a (group, hyperplane) membership after merging
@@ -21,13 +22,10 @@ from .errors import ConstructionError, InternalCheckError
 from .lattices import FamilyId, OrientedBasis
 
 DECODE_TOL = 1e-7
-# points per block of _min_max (the last block takes the tail too): a block's
-# plane-major heights and (groups x rows) maxima stay in cache
+# rows per block of _min_max, whose plane-major heights and (groups x rows)
+# maxima then stay in cache (the last block takes the tail too), and of
+# certify_pieces, which holds one (witnesses x memberships) table per block
 EVAL_ROWS = 512
-# grid points per axis of count_pieces_sampled at n <= 4
-GRID_DENSITY = 60
-# sample_domain points of count_pieces_sampled above n = 4
-SAMPLE_BUDGET = 200_000
 
 PlaneKey = tuple[tuple[int, ...], int]  # (difference z-vector, 2p as integer)
 
@@ -253,7 +251,7 @@ def eval_boundary_batch(
 
 
 # ---------------------------------------------------------------------------
-# piece counts: closed forms and the sampled cross-check
+# piece counts: closed forms and the witness certificate
 # ---------------------------------------------------------------------------
 
 def _binom(a: int, b: int) -> int:
@@ -301,40 +299,33 @@ def en_formula_readings(n: int) -> dict[str, int]:
     return {"multiplicity_over_i": over_i, "multiplicity_literal": literal}
 
 
-def count_pieces_sampled(basis: OrientedBasis, f: BoundaryFunction, seed: int = 0) -> int:
-    """Distinct active membership ids over a dense sample of the D(B) interior.
+def certify_pieces(f: BoundaryFunction) -> np.ndarray:
+    """Per membership (g, p), whether its witness proves it is a piece of f.
 
-    Uses a regular grid for n - 1 <= 3 (seed unused) and at most
-    SAMPLE_BUDGET seeded uniform samples above that (the grid would explode
-    combinatorially). The whole cloud is drawn, then evaluated in chunks until
-    every membership is seen: the count cannot exceed len(f.memberships), so
-    the points left cannot change it. Chunks start on multiples of EVAL_ROWS
-    and the last takes the tail, so each row's id is that of one whole call.
+    The witness is the projected midpoint of the membership's first neighbor
+    pair; it lies in D(B), since P(B) is convex. It certifies (g, p) when
+    there plane p beats the other planes of group g, and group g's max beats
+    every other group's max, each by at least DECODE_TOL. Strict margins hold
+    on an open neighborhood, so (g, p) is active on a set of positive volume.
+    Witnesses go in blocks of EVAL_ROWS against every membership at once.
     """
-    Yt = _domain_cloud(basis, seed)
-    seen = np.zeros(len(f.memberships), dtype=bool)
-    step, count = 16 * EVAL_ROWS, Yt.shape[0]
-    for lo in range(0, max(count - step + 1, 1), step):
-        hi = lo + step if lo + 2 * step <= count else count
-        seen[eval_boundary_batch(f, Yt[lo:hi])[1]] = True
-        if seen.all():
-            break
-    return int(seen.sum())
-
-
-def _domain_cloud(basis: OrientedBasis, seed: int) -> np.ndarray:
-    """D(B) points: the bbox grid masked by domain_contains at n <= 4 (exact,
-    pinned counts), else min(GRID_DENSITY^d, SAMPLE_BUDGET) sample_domain points."""
-    d = basis.n - 1
-    if d == 0:
-        return np.zeros((1, 0))
-    if d <= 3:
-        lo, hi = lat.domain_bbox(basis)
-        axes = [np.linspace(lo[j], hi[j], GRID_DENSITY) for j in range(d)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        return mesh[lat.domain_contains(basis, mesh)]
-    count = min(GRID_DENSITY ** d, SAMPLE_BUDGET)
-    return lat.sample_domain(basis, seed, count)
+    group, plane = f.memberships.T
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    _, first = np.unique(f.pair_memb, return_index=True)
+    W = ((f.pair_x[first] + f.pair_xp[first]) @ f.basis.G / 2.0)[:, 1:]
+    A, c = f.A[plane].T, f.c[plane]
+    margin = np.empty(len(group))
+    for lo in range(0, len(group), EVAL_ROWS):
+        m = np.arange(lo, min(lo + EVAL_ROWS, len(group)))  # witness m certifies membership m
+        rows = m - lo
+        H = W[m] @ A + c  # (witnesses, memberships), row-major for reduceat
+        own = H[rows, m]
+        H[rows, m] = -np.inf
+        gmax = np.maximum.reduceat(H, starts, axis=1)
+        runner_up = gmax[rows, group[m]]  # best other plane of the own group
+        gmax[rows, group[m]] = np.inf
+        margin[m] = np.minimum(own - runner_up, gmax.min(axis=1) - own)
+    return margin >= DECODE_TOL
 
 
 def decode_bit_batch(Y: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -351,21 +342,21 @@ def decode_bit_batch(Y: np.ndarray, vals: np.ndarray) -> np.ndarray:
 # reports and export
 # ---------------------------------------------------------------------------
 
-def piece_count_report(fid: FamilyId, seed: int = 0) -> dict:
+def piece_count_report(fid: FamilyId) -> dict:
     """One row of the piece-count verification: formula vs oracle (the
-    enumerated memberships) vs sampling."""
-    basis = lat.build_basis(fid)
-    f = build_boundary(basis)
+    enumerated memberships) vs the memberships certify_pieces proves. The
+    certified count keeps the field name `sampled`."""
+    f = build_boundary(lat.build_basis(fid))
     oracle = len(f.memberships)
-    sampled = count_pieces_sampled(basis, f, seed=seed)
+    certified = int(certify_pieces(f).sum())
     formula = count_pieces_formula(fid)
     row = {
         "family": fid.family,
         "n": fid.n,
         "formula": formula,
         "oracle": oracle,
-        "sampled": sampled,
-        "match": bool(formula == oracle and sampled <= oracle),
+        "sampled": certified,
+        "match": bool(formula == oracle == certified),
     }
     if fid.family == lat.FAMILY_EN:
         readings = en_formula_readings(fid.n)

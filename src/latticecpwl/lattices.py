@@ -245,24 +245,6 @@ def fiber_interval_batch(
     return lo, hi
 
 
-def domain_contains(basis: OrientedBasis, Yt: np.ndarray) -> np.ndarray:
-    """Boolean mask: ytilde rows whose fiber through P(B) is nonempty."""
-    lo, hi = fiber_interval_batch(basis, Yt)
-    return hi - lo > 1e-12
-
-
-def domain_bbox(basis: OrientedBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned bounding box of D(B) from the projected corners.
-
-    D(B) is the projection of a parallelotope, i.e. a zonotope; coordinate
-    extremes are attained at projected corners, so the corner hull box is exact.
-    Only the n <= 4 grid of count_pieces_sampled needs it; see sample_domain.
-    """
-    corners = enumerate_corners(basis)
-    proj = corners.x[:, 1:]
-    return proj.min(axis=0), proj.max(axis=0)
-
-
 def sample_domain(basis: OrientedBasis, seed: int, count: int) -> np.ndarray:
     """count uniform points of D(B), exact and without rejection.
 

@@ -1,7 +1,8 @@
 """Reference oracles and reports that only the tests use.
 
 Brute-force nearest-point search and shell enumeration for the lattices,
-a Lipschitz constant of f, sampled folded-domain counts with the stated
+membership and the bounding box of the projected domain D(B), a Lipschitz
+constant of f, sampled folded-domain counts with the stated
 folded constants beside them, and the reduction of extended-box points
 into the base cell. None of it runs in a command; each is an independent
 route that the tests compare the program against.
@@ -94,6 +95,23 @@ def cvp_box(basis: lat.OrientedBasis, y: np.ndarray, r: int = 2) -> tuple[np.nda
     # lexicographic tie-break over the candidate z rows
     best = rows[np.lexsort(Z[rows].T[::-1])[0]]
     return Z[best].copy(), X[best].copy()
+
+
+def domain_contains(basis: lat.OrientedBasis, Yt: np.ndarray) -> np.ndarray:
+    """Boolean mask: ytilde rows whose fiber through P(B) is nonempty."""
+    lo, hi = lat.fiber_interval_batch(basis, Yt)
+    return hi - lo > 1e-12
+
+
+def domain_bbox(basis: lat.OrientedBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned bounding box of D(B) from the projected corners.
+
+    D(B) is the projection of a parallelotope, i.e. a zonotope; coordinate
+    extremes are attained at projected corners, so the corner hull box is exact.
+    """
+    corners = lat.enumerate_corners(basis)
+    proj = corners.x[:, 1:]
+    return proj.min(axis=0), proj.max(axis=0)
 
 
 def lipschitz_bound(f: bnd.BoundaryFunction) -> float:

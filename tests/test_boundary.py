@@ -196,7 +196,7 @@ def test_eval_active_matches_reference():
         f = bd.build_boundary(basis)
         Yt = lat.sample_domain(basis, seed=seed, count=300)
         # include points with exact cross-group ties (domain symmetry axis)
-        lo, hi = lat.domain_bbox(basis)
+        lo, hi = oracles.domain_bbox(basis)
         Yt = np.vstack([Yt, [(lo + hi) / 2.0]])
         vals, act = bd.eval_boundary_batch(f, Yt)
         H = Yt @ f.A.T + f.c
@@ -475,63 +475,50 @@ def test_lipschitz_bound(a3):
     assert np.all(lhs <= rhs + 1e-9)
 
 
-def test_count_pieces_sampled_matches_small():
-    cases = [("an", 2, 3), ("an", 3, 8), ("dn-second", 3, 6)]
-    for family, n, expected in cases:
-        basis = lat.build_basis(FamilyId(family, n))
-        f = bd.build_boundary(basis)
-        assert bd.count_pieces_sampled(basis, f) == expected
+CERTIFIED_CASES = (
+    [("an", n) for n in range(1, 11)]
+    + [(family, n) for family in ("dn-const-a", "dn-second") for n in range(2, 11)]
+    + [("en", n) for n in range(6, 9)]
+)
 
 
-EARLY_STOP_CASES = [
-    ("an", 4, 0), ("an", 4, 42), ("an", 6, 0), ("an", 6, 42),
-    ("dn-const-a", 5, 4), ("dn-second", 6, 0), ("dn-second", 6, 42),
-    ("en", 6, 0), ("en", 6, 42),
-    ("an", 8, 42),  # 575 of 576 memberships: every chunk and the tail block run
-]
+@pytest.mark.parametrize("family,n", CERTIFIED_CASES)
+def test_certified_count_equals_oracle_and_formula(family, n):
+    """Every enumerated membership clears both margins at its witness, and
+    the dense evaluator picks that membership there."""
+    fid = FamilyId(family, n)
+    f = bd.build_boundary(lat.build_basis(fid))
+    assert bd.certify_pieces(f).all()
+    assert len(f.memberships) == bd.count_pieces_formula(fid)
+    _, first = np.unique(f.pair_memb, return_index=True)
+    witnesses = ((f.pair_x[first] + f.pair_xp[first]) @ f.basis.G / 2.0)[:, 1:]
+    _, act = bd.eval_boundary_batch(f, witnesses)
+    assert np.array_equal(act, np.arange(len(f.memberships)))
 
 
-@pytest.mark.parametrize("family,n,seed", EARLY_STOP_CASES)
-def test_count_pieces_sampled_equals_whole_cloud_count(family, n, seed):
-    """Stopping once every membership is seen gives the count of one call
-    over the whole cloud, which never exceeds the enumerated count."""
-    basis = lat.build_basis(FamilyId(family, n))
-    f = bd.build_boundary(basis)
-    _, act = bd.eval_boundary_batch(f, bd._domain_cloud(basis, seed))
-    whole = np.unique(act).size
-    assert bd.count_pieces_sampled(basis, f, seed=seed) == whole
-    assert whole <= len(f.memberships)
+def test_certified_count_an_8_reports_576():
+    """All 576 pieces of an 8 are certified; 200,000 uniform D(B) points at
+    seed 42 hit only 575 of them."""
+    row = bd.piece_count_report(FamilyId("an", 8))
+    assert (row["formula"], row["oracle"], row["sampled"], row["match"]) == (576, 576, 576, True)
 
 
-def _rows_evaluated(monkeypatch, family, n, seed):
-    """Row count of every eval_boundary_batch call one sampled count makes."""
-    basis = lat.build_basis(FamilyId(family, n))
-    f = bd.build_boundary(basis)
-    calls, dense = [], bd.eval_boundary_batch
-
-    def spy(f, Yt):
-        calls.append(len(Yt))
-        return dense(f, Yt)
-
-    monkeypatch.setattr(bd, "eval_boundary_batch", spy)
-    sampled = bd.count_pieces_sampled(basis, f, seed=seed)
-    return calls, sampled, len(f.memberships)
-
-
-def test_count_pieces_sampled_stops_once_saturated(monkeypatch):
-    """en 6 at seed 42 sees all 156 memberships within its first chunk."""
-    calls, sampled, oracle = _rows_evaluated(monkeypatch, "en", 6, 42)
-    assert sampled == oracle == 156
-    assert len(calls) == 1 and calls[0] < bd.SAMPLE_BUDGET
-
-
-def test_count_pieces_sampled_unsaturated_evaluates_whole_cloud(monkeypatch):
-    """an 8 at seed 42 never sees one of its 576 memberships, so all
-    SAMPLE_BUDGET points are evaluated, each exactly once."""
-    calls, sampled, oracle = _rows_evaluated(monkeypatch, "an", 8, 42)
-    assert (sampled, oracle) == (575, 576)
-    assert sum(calls) == bd.SAMPLE_BUDGET == 200_000
-    assert len(calls) > 1
+def test_certificate_drops_a_lowered_plane(monkeypatch):
+    """Lowering plane 0's bias by 10 puts it below the other planes of its
+    groups at their witnesses: exactly its memberships lose the certificate,
+    and the report no longer matches."""
+    fid = FamilyId("dn-second", 4)
+    f = bd.build_boundary(lat.build_basis(fid))
+    c = f.c.copy()
+    c[0] -= 10.0
+    lowered = dataclasses.replace(f, c=c)
+    certified = bd.certify_pieces(lowered)
+    own = f.memberships[:, 1] == 0
+    assert own.sum() == 2
+    assert np.array_equal(certified, ~own)
+    monkeypatch.setattr(bd, "build_boundary", lambda basis: lowered)
+    row = bd.piece_count_report(fid)
+    assert (row["oracle"], row["sampled"], row["match"]) == (20, 18, False)
 
 
 def test_piece_connectivity_small_n():
@@ -545,10 +532,10 @@ def test_piece_connectivity_small_n():
         f = bd.build_boundary(basis)
         d = n - 1
         density = 40 if d <= 2 else 24
-        lo, hi = lat.domain_bbox(basis)
+        lo, hi = oracles.domain_bbox(basis)
         axes = [np.linspace(lo[j], hi[j], density) for j in range(d)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        inside = lat.domain_contains(basis, mesh)
+        inside = oracles.domain_contains(basis, mesh)
         pts = mesh[inside]
         _, act = bd.eval_boundary_batch(f, pts)
         # drop points on (or within float noise of) a piece boundary: exact

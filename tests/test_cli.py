@@ -59,7 +59,19 @@ def test_count_csv_rows(capsys):
     assert out.splitlines()[1] == "an,3,8,8,8,True"
     code, out, _ = run(capsys, ["count", "--family", "dn-const-a", "--n", "3"])
     assert code == 0
-    assert out.splitlines()[1].startswith("dn-const-a,3,5,5,")
+    assert out.splitlines()[1] == "dn-const-a,3,5,5,5,True"
+    code, out, _ = run(capsys, ["count", "--family", "an", "--n", "1"])
+    assert code == 0
+    assert out.splitlines()[1] == "an,1,1,1,1,True"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_count_ignores_seed(capsys, fmt):
+    argv = ["count", "--family", "an", "--n", "5", "--format", fmt]
+    code_0, out_0, _ = run(capsys, argv + ["--seed", "0"])
+    code_42, out_42, _ = run(capsys, argv + ["--seed", "42"])
+    assert code_0 == code_42 == 0
+    assert out_0 == out_42
 
 
 def test_count_en_json_carries_both_readings(capsys):

@@ -238,16 +238,16 @@ def test_fiber_interval_and_domain():
     lo, hi = lat.fiber_interval_batch(basis, Yt)
     # the sampled first coordinate lies inside its own fiber
     assert np.all(Y[:, 0] >= lo - 1e-9) and np.all(Y[:, 0] <= hi + 1e-9)
-    assert lat.domain_contains(basis, Yt).all()
+    assert oracles.domain_contains(basis, Yt).all()
     # far-away points are outside
-    assert not lat.domain_contains(basis, Yt + 100.0).any()
+    assert not oracles.domain_contains(basis, Yt + 100.0).any()
 
 
 def test_sample_domain_uniform_members():
     basis = lat.build_basis(lat.FamilyId("dn-const-a", 4))
     Yt = lat.sample_domain(basis, seed=9, count=400)
     assert Yt.shape == (400, 3)
-    assert lat.domain_contains(basis, Yt).all()
+    assert oracles.domain_contains(basis, Yt).all()
     assert Yt.tobytes() == lat.sample_domain(basis, seed=9, count=400).tobytes()
     # tuple seeds, as verify_fold_invariance passes per chunk
     Ut = lat.sample_domain(basis, seed=(9, 3), count=400)
@@ -265,15 +265,15 @@ ORACLE_CASES = [("an", 4), ("an", 8), ("dn-second", 6), ("en", 8)]
 
 @functools.lru_cache(maxsize=None)
 def _rejection_oracle(family: str, n: int) -> tuple[np.ndarray, int, int]:
-    """ORACLE_COUNT uniform D(B) points by rejection from domain_bbox, plus
+    """ORACLE_COUNT uniform D(B) points by rejection from oracles.domain_bbox, plus
     the accepted and tested candidate counts over every batch drawn."""
     basis = lat.build_basis(lat.FamilyId(family, n))
-    lo, hi = lat.domain_bbox(basis)
+    lo, hi = oracles.domain_bbox(basis)
     rng = np.random.default_rng(101)
     batch, kept, accepted, tested = 4 * ORACLE_COUNT, [], 0, 0
     while accepted < ORACLE_COUNT:
         cand = lo + rng.random((batch, n - 1)) * (hi - lo)
-        kept.append(cand[lat.domain_contains(basis, cand)])
+        kept.append(cand[oracles.domain_contains(basis, cand)])
         accepted += kept[-1].shape[0]
         tested += batch
     return np.concatenate(kept)[:ORACLE_COUNT], accepted, tested
@@ -293,7 +293,7 @@ def test_sample_domain_matches_rejection_oracle(family, n):
     basis = lat.build_basis(lat.FamilyId(family, n))
     Yt = lat.sample_domain(basis, seed=202, count=ORACLE_COUNT)
     assert Yt.shape == (ORACLE_COUNT, n - 1)
-    assert lat.domain_contains(basis, Yt).all()
+    assert oracles.domain_contains(basis, Yt).all()
     ref, _, _ = _rejection_oracle(family, n)
     # per-coordinate two-sample KS at 1%, Bonferroni-corrected over the n - 1
     # coordinates; asymptotic critical value c(a) sqrt(2 / N), N per sample
@@ -307,7 +307,7 @@ def test_lower_facet_volumes_match_rejection_acceptance(family, n):
     basis = lat.build_basis(lat.FamilyId(family, n))
     Gt = basis.G[:, 1:]
     facets = sum(abs(np.linalg.det(np.delete(Gt, i, axis=0))) for i in range(n))
-    lo, hi = lat.domain_bbox(basis)
+    lo, hi = oracles.domain_bbox(basis)
     _, accepted, tested = _rejection_oracle(family, n)
     p = accepted / tested
     box = float(np.prod(hi - lo))
@@ -316,12 +316,12 @@ def test_lower_facet_volumes_match_rejection_acceptance(family, n):
 
 
 def test_sample_domain_low_rank():
-    # n = 2: D(B) is the interval domain_bbox, sampled uniformly
+    # n = 2: D(B) is the interval oracles.domain_bbox, sampled uniformly
     basis = lat.build_basis(lat.FamilyId("an", 2))
     Yt = lat.sample_domain(basis, seed=5, count=ORACLE_COUNT)
-    lo, hi = lat.domain_bbox(basis)
+    lo, hi = oracles.domain_bbox(basis)
     assert Yt.shape == (ORACLE_COUNT, 1)
-    assert lat.domain_contains(basis, Yt).all()
+    assert oracles.domain_contains(basis, Yt).all()
     assert Yt.min() >= lo[0] and Yt.max() <= hi[0]
     # one-sample KS against U[lo, hi] at 1%
     cdf = (np.sort(Yt[:, 0]) - lo[0]) / (hi[0] - lo[0])
