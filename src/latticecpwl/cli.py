@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -37,8 +38,19 @@ def _csv(header: list[str], rows: list[list[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_points(path: str, expect_dim: int) -> tuple[np.ndarray, list[int]]:
-    """Points of a whitespace-separated file and the file line of each."""
+def _read_points(path: str, expect_dim: int) -> np.ndarray:
+    """Points of a file with one whitespace-separated point per non-blank line."""
+    # numpy's C reader takes the common file in one pass. A file it refuses, or
+    # with no rows, the wrong width or a non-finite value, goes to the line
+    # reader below, which takes every token float() takes and names bad lines.
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty input
+            pts = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+        if len(pts) and pts.shape[1] == expect_dim and np.isfinite(pts).all():
+            return pts
+    except (OSError, ValueError):
+        pass
     try:
         with open(path) as fh:
             raw = [line.split() for line in fh]
@@ -57,12 +69,15 @@ def _read_points(path: str, expect_dim: int) -> tuple[np.ndarray, list[int]]:
         pts = np.array(rows, dtype=float)
     except ValueError as exc:
         raise DomainError(f"cannot parse {path}: {exc}") from exc
-    _reject_rows(path, lines, ~np.isfinite(pts).all(axis=1), "has a non-finite coordinate")
-    return pts, lines
+    _reject_rows(path, ~np.isfinite(pts).all(axis=1), "has a non-finite coordinate")
+    return pts
 
 
-def _reject_rows(path: str, lines: list[int], bad: np.ndarray, what: str) -> None:
+def _reject_rows(path: str, bad: np.ndarray, what: str) -> None:
     if bad.any():
+        # row k of the points is the k-th non-blank line of the file
+        with open(path) as fh:
+            lines = [k for k, line in enumerate(fh, 1) if line.split()]
         raise DomainError(f"{path}: line {lines[int(bad.argmax())]} {what}")
 
 
@@ -122,10 +137,10 @@ def cmd_synth(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
 def cmd_eval(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     basis = lat.build_basis(fid)
     ff = _fold_first(basis)
-    pts, lines = _read_points(args.infile, fid.n - 1)
+    pts = _read_points(args.infile, fid.n - 1)
     # closed D(B): projected corners have a zero-length fiber
     lo, hi = lat.fiber_interval_batch(basis, pts)
-    _reject_rows(args.infile, lines, hi - lo < -lat.GEOM_TOL, "lies outside D(B)")
+    _reject_rows(args.infile, hi - lo < -lat.GEOM_TOL, "lies outside D(B)")
     vals = fld.eval_folded_batch(ff, pts)
     return 0, "\n".join(map(repr, vals.tolist())) + "\n"
 
@@ -133,13 +148,13 @@ def cmd_eval(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
 def cmd_decode(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     basis = lat.build_basis(fid)
     ff = _fold_first(basis)
-    pts, lines = _read_points(args.infile, fid.n)
+    pts = _read_points(args.infile, fid.n)
     # reduce into the fundamental parallelotope so arbitrary points decode to
     # the bit of their coset representative; where the spacing of alpha
     # exceeds the tie band, its fractional part is rounding noise
     alpha = pts @ basis.Ginv
     far = (np.spacing(np.abs(alpha)) > bnd.DECODE_TOL).any(axis=1)
-    _reject_rows(args.infile, lines, far, "is too far from the origin to reduce")
+    _reject_rows(args.infile, far, "is too far from the origin to reduce")
     reduced = (alpha - np.floor(alpha)) @ basis.G
     bits = bnd.decode_bit_batch(reduced, fld.eval_folded_batch(ff, reduced[:, 1:]))
     # bits 0, 1 and -1 index "0", "1" and (from the end) "?"

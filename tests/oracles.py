@@ -3,8 +3,9 @@
 Brute-force nearest-point search and shell enumeration for the lattices,
 membership and the bounding box of the projected domain D(B), a Lipschitz
 constant of f, sampled folded-domain counts with the stated
-folded constants beside them, and the reduction of extended-box points
-into the base cell. None of it runs in a command; each is an independent
+folded constants beside them, the reduction of extended-box points
+into the base cell, and the line-by-line point-file reader. None of it runs
+in a command; each is an independent
 route that the tests compare the program against.
 """
 from __future__ import annotations
@@ -236,3 +237,31 @@ def reduce_to_parallelotope(
     if single:
         return y[0], z[0]
     return y, z
+
+
+def read_points_by_line(path: str, expect_dim: int) -> np.ndarray:
+    """The line-by-line point reader that `cli._read_points` now keeps only
+    for files numpy's C reader refuses: `str.split` per line, then one
+    `np.array` conversion. Raises DomainError with the program's messages."""
+    try:
+        with open(path) as fh:
+            raw = [line.split() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
+    lines = [k for k, row in enumerate(raw, 1) if row]
+    rows = [row for row in raw if row]
+    if not rows:
+        raise DomainError(f"{path} contains no points")
+    for k, row in zip(lines, rows):
+        if len(row) != expect_dim:
+            raise DomainError(
+                f"{path}: line {k} has {len(row)} coordinates, expected {expect_dim}"
+            )
+    try:
+        pts = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise DomainError(f"cannot parse {path}: {exc}") from exc
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        raise DomainError(f"{path}: line {lines[int(bad.argmax())]} has a non-finite coordinate")
+    return pts

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from latticecpwl import boundary as bnd
 from latticecpwl import cli
 from latticecpwl import lattices as lat
+from latticecpwl.errors import DomainError
 
 
 def run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -281,6 +283,104 @@ def test_decode_point_too_far_to_reduce_exits_2(capsys, tmp_path, far):
     assert code == 2
     assert out == ""
     assert f"{pts}: line 3 is too far from the origin to reduce" in err
+
+
+@pytest.mark.parametrize(
+    "command,n,good,bad,what",
+    [
+        ("eval", 4, "0.0 0.0 0.0", "0.3 0.2 0.1", "lies outside D(B)"),
+        ("decode", 3, "0.5 0.1 0.2", "1e17 0.3 0.2", "is too far from the origin to reduce"),
+        ("eval", 4, "0.1 0.2 0.3", "0.1 0.2 1e400", "has a non-finite coordinate"),
+    ],
+    ids=["outside", "far", "non-finite"],
+)
+def test_crlf_file_names_the_file_line_of_a_bad_row(
+    capsys, tmp_path, command, n, good, bad, what
+):
+    # the bad row is row 2 but file line 4, after two whitespace-only lines
+    pts = tmp_path / "pts.txt"
+    pts.write_bytes(f"{good}\r\n \r\n\t\r\n{bad}\r\n".encode())
+    code, out, err = run(capsys, [command, "--family", "an", "--n", str(n), "--in", str(pts)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {pts}: line 4 {what}\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "decode"])
+@pytest.mark.parametrize("text", [b"", b" \n\t\r\n\n"], ids=["empty", "whitespace"])
+def test_file_without_points_exits_2_with_one_line(capsys, tmp_path, recwarn, command, text):
+    # numpy's reader warns on empty input; that warning must not reach stderr
+    pts = tmp_path / "pts.txt"
+    pts.write_bytes(text)
+    code, out, err = run(capsys, [command, "--family", "an", "--n", "4", "--in", str(pts)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {pts} contains no points\n"
+    assert not recwarn.list
+
+
+def point_file_corpus() -> dict[str, bytes]:
+    """Point files of three coordinates that the two readers must agree on."""
+    rows = "0.1 0.2 0.3\n0.4 0.5 0.6\n"
+    texts = {
+        "lf": rows,
+        "crlf": rows.replace("\n", "\r\n"),
+        "lone_cr": rows.replace("\n", "\r"),
+        "no_final_newline": rows.rstrip("\n"),
+        "tabs": rows.replace(" ", "\t"),
+        "vertical_tab": rows.replace(" ", "\x0b"),
+        "form_feed": rows.replace(" ", " \x0c"),
+        "nbsp": rows.replace(" ", "\xa0"),
+        "em_space": rows.replace(" ", "\u2003"),
+        "blank_lines": "\n \t\n0.1 0.2 0.3\n\n\x0b\n0.4 0.5 0.6\n\n\xa0\n",
+        "blank_lines_crlf": "\r\n \r\n0.1 0.2 0.3\r\n\t\r\n0.4 0.5 0.6\r\n \r\n",
+        "signs_and_dots": "+1.5 .5 5.\n-.5 +0 -5.\n",
+        "zeros_and_extremes": "1e-400 -0 5e-324\n1.7976931348623157e308 -0.0 -1e-400\n",
+        "underscore": "1_0 0.2 0.3\n0.4 0.5 0.6\n",
+        "full_width_digits": "\uff11\uff12 0.2 0.3\n0.4 0.5 0.6\n",
+        "bom": "\ufeff" + rows,
+        "hash_token": "0.1 0.2 0.3 # note\n",
+        "hash_line": "# x y z\n" + rows,
+        "quotes": '"0.1" 0.2 0.3\n',
+        "overflow": "0.1 0.2 0.3\n1e400 0.5 0.6\n",
+        "nan": "0.1 0.2 0.3\n\nnan 0.5 0.6\n",
+        "empty": "",
+        "whitespace_only": " \n\t\r\n\n",
+        "ragged_first_row": "0.1 0.2\n0.4 0.5 0.6\n",
+        "ragged_later_row": "0.1 0.2 0.3\n\n0.4 0.5\n",
+        "wrong_width": "0.1 0.2\n0.4 0.5\n",
+        "bad_token": "0.1 zebra 0.3\n",
+    }
+    files = {name: text.encode() for name, text in texts.items()}
+    files["not_utf8"] = b"\xff\xfe0.1 0.2 0.3\n"
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-30, 30, size=(2000, 3))
+    X[:2] = [[0.0, -0.0, 5e-324], [-5e-324, 1e-310, -1.7976931348623157e308]]
+    for name, fmt in [("repr", repr), ("17g", "%.17g".__mod__),
+                      ("25e", "%.25e".__mod__), ("3f", "%.3f".__mod__)]:
+        files[f"random_{name}"] = "".join(
+            " ".join(fmt(float(v)) for v in row) + "\n" for row in X
+        ).encode()
+    return files
+
+
+POINT_FILES = point_file_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(POINT_FILES))
+def test_read_points_matches_line_reader(tmp_path, name):
+    # the same array bits (signs of zero included) or the same error message
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(POINT_FILES[name])
+
+    def outcome(read):
+        try:
+            pts = read(str(path), 3)
+        except DomainError as exc:
+            return str(exc)
+        return pts.shape, pts.dtype, pts.tobytes()
+
+    assert outcome(cli._read_points) == outcome(oracles.read_points_by_line)
 
 
 # ---------------------------------------------------------------------------
