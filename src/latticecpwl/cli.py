@@ -9,6 +9,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -225,6 +226,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticecpwl",

@@ -18,8 +18,6 @@ from . import boundary as bnd
 from . import lattices as lat
 from .errors import ConstructionError, DomainError
 
-# fold verification draws its samples in this many chunks, seeded (seed, i)
-FOLD_CHUNKS = 16
 # read only by the benchmark's machine block
 THREADS_ENV = "LATTICE_FOLD_THREADS"
 
@@ -80,11 +78,6 @@ def build_schedule(fid: lat.FamilyId, basis: lat.OrientedBasis) -> FoldingSchedu
     return FoldingSchedule(steps=tuple(steps))
 
 
-def _chunk_sizes(count: int) -> list[int]:
-    base, rem = divmod(count, FOLD_CHUNKS)
-    return [base + (1 if i < rem else 0) for i in range(FOLD_CHUNKS)]
-
-
 def verify_fold_invariance(
     f: bnd.BoundaryFunction,
     schedule: FoldingSchedule,
@@ -96,20 +89,15 @@ def verify_fold_invariance(
     the min-max over every membership at y~; f(F(y~)) is fold-first, the sort
     F of c = y~ Gt^T and then the min-max over the surviving memberships in c.
 
-    The count samples are drawn in FOLD_CHUNKS chunks, chunk i seeded
-    (seed, i) with _chunk_sizes(count)[i] points, so seed and count alone fix
-    the samples and the result.
+    The count samples are one sample_domain draw from seed, so seed and count
+    alone fix the samples and the result.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     ff = build_folded_boundary(f, schedule)
-
-    def chunk_dev(i: int, m: int) -> float:
-        Yt = lat.sample_domain(f.basis, seed=(seed, i), count=m)
-        a, _ = bnd.eval_boundary_batch(f, Yt)
-        return float(np.abs(a - eval_folded_batch(ff, Yt)).max())
-
-    return max(chunk_dev(i, m) for i, m in enumerate(_chunk_sizes(count)) if m > 0)
+    Yt = lat.sample_domain(f.basis, seed=seed, count=count)
+    a, _ = bnd.eval_boundary_batch(f, Yt)
+    return float(np.abs(a - eval_folded_batch(ff, Yt)).max())
 
 
 def surviving_pairs(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.ndarray:

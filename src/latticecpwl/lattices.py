@@ -238,8 +238,11 @@ def fiber_interval_batch(
             inside = (a0[:, j] >= 0.0) & (a0[:, j] < 1.0)
             lo = np.where(inside, lo, np.inf)
             continue
-        t0 = (0.0 - a0[:, j]) / rj
-        t1 = (1.0 - a0[:, j]) / rj
+        # a coordinate near the largest double overflows to +-inf, which the
+        # interval arithmetic below handles
+        with np.errstate(over="ignore", divide="ignore"):
+            t0 = (0.0 - a0[:, j]) / rj
+            t1 = (1.0 - a0[:, j]) / rj
         lo = np.maximum(lo, np.minimum(t0, t1))
         hi = np.minimum(hi, np.maximum(t0, t1))
     return lo, hi

@@ -183,6 +183,22 @@ def test_eval_outside_domain_exits_2(capsys, tmp_path):
     assert f"{pts}: line 3 lies outside D(B)" in err
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["0.0 1e-300 -1.7976931348623157e308", " ".join(["1.7976931348623157e308"] * 3)],
+    ids=["one-huge", "all-huge"],
+)
+def test_eval_huge_coordinate_exits_2_with_one_line(capsys, tmp_path, recwarn, row):
+    # the fiber arithmetic overflows to +-inf; no numpy warning may reach stderr
+    pts = tmp_path / "pts.txt"
+    pts.write_text(row + "\n")
+    code, out, err = run(capsys, ["eval", "--family", "an", "--n", "4", "--in", str(pts)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {pts}: line 1 lies outside D(B)\n"
+    assert not recwarn.list
+
+
 def test_eval_wrong_dimension_exits_2(capsys, tmp_path):
     pts = tmp_path / "pts.txt"
     # a uniformly short file, and a ragged one whose second row is short
@@ -530,6 +546,31 @@ def test_flags_a_command_ignores_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys):
+    # main reuses one parser per process; each call must parse as if fresh
+    cli.build_parser.cache_clear()
+    base = ["--family", "an", "--n", "3"]
+    fresh = {cmd: run(capsys, [cmd, *base]) for cmd in ("bounds", "synth")}
+    assert cli.build_parser() is cli.build_parser()
+
+    run(capsys, ["bounds", *base, "--M", "10", "--L", "2", "--w", "4"])
+    code, out, _ = run(capsys, ["bounds", *base])
+    assert (code, out) == fresh["bounds"][:2]
+    assert "separation" not in out
+
+    run(capsys, ["synth", *base, "--M", "1"])
+    code, out, _ = run(capsys, ["synth", *base])
+    assert (code, out) == fresh["synth"][:2]
+    assert json.loads(out)["meta"]["provenance"]["translation_blocks"] == 0
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", *base, "--M", "ten"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["bounds", *base])
+    assert (code, out) == fresh["bounds"][:2]
 
 
 def test_unknown_family_rejected_by_parser(capsys):

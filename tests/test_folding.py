@@ -181,18 +181,15 @@ def test_fold_invariance(family, n):
 
 
 @pytest.mark.parametrize("family,n", [("dn-const-a", 5), ("en", 6)])
-def test_fold_invariance_samples_seeded_chunks(family, n):
-    # the samples are fixed by (seed, count): chunk i is seeded (seed, i)
+@pytest.mark.parametrize("count", [4_000, 1])
+def test_fold_invariance_samples_one_seeded_draw(family, n, count):
+    # the samples are one sample_domain draw, fixed by (seed, count)
     _, basis, f, sched = make(family, n)
-    ff = fo.build_folded_boundary(f, sched)
-    sizes = fo._chunk_sizes(4_000)
-    assert len(sizes) == fo.FOLD_CHUNKS == 16
-    worst = 0.0
-    for i, m in enumerate(sizes):
-        Yt = lat.sample_domain(basis, seed=(7, i), count=m)
-        dense, _ = bd.eval_boundary_batch(f, Yt)
-        worst = max(worst, float(np.abs(dense - fo.eval_folded_batch(ff, Yt)).max()))
-    assert fo.verify_fold_invariance(f, sched, seed=7, count=4_000) == worst
+    Yt = lat.sample_domain(basis, seed=7, count=count)
+    dense, _ = bd.eval_boundary_batch(f, Yt)
+    folded = fo.eval_folded_batch(fo.build_folded_boundary(f, sched), Yt)
+    worst = float(np.abs(dense - folded).max())
+    assert fo.verify_fold_invariance(f, sched, seed=7, count=count) == worst
 
 
 def test_fold_invariance_rejects_bad_count():

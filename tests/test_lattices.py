@@ -249,7 +249,7 @@ def test_sample_domain_uniform_members():
     assert Yt.shape == (400, 3)
     assert oracles.domain_contains(basis, Yt).all()
     assert Yt.tobytes() == lat.sample_domain(basis, seed=9, count=400).tobytes()
-    # tuple seeds, as verify_fold_invariance passes per chunk
+    # tuple seeds, which numpy.random.default_rng accepts, fix their own draws
     Ut = lat.sample_domain(basis, seed=(9, 3), count=400)
     assert Ut.tobytes() == lat.sample_domain(basis, seed=(9, 3), count=400).tobytes()
     assert not np.array_equal(Ut, Yt)

@@ -85,6 +85,9 @@ def test_every_src_function_runs(tmp_path):
         if event == "call":
             codes.add(frame.f_code)
 
+    # main builds its parser once per process; drop the cached one so that
+    # build_parser and its nested add run under the profiler
+    cli.build_parser.cache_clear()
     sys.setprofile(profile)
     try:
         for argv in runs:
