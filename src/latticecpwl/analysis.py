@@ -16,9 +16,9 @@ from . import folding as fld
 from . import lattices as lat
 from .errors import ConstructionError, DomainError, InternalCheckError
 
-# brute-force corner search is used up to this rank; beyond it only the
-# simplex family has a specialized decoder
-BRUTE_DECODER_MAX_N = 10
+# mc builds f, and computes both rows from it, up to this rank; beyond it
+# only the simplex family has a decode_error row, from its sorted decoder
+MC_FOLD_MAX_N = 10
 CROSS_CHECK_SAMPLES = 1_000
 
 
@@ -94,44 +94,6 @@ def decoding_error_bound(n: int) -> float:
     return 2.0 ** (-exponent) / math.sqrt(2.0 * math.pi * n)
 
 
-def _fiber_quantities(basis: lat.OrientedBasis, ff: fld.FoldedBoundary, Y):
-    vals = fld.eval_folded_batch(ff, Y[:, 1:])
-    lo, hi = lat.fiber_interval_batch(basis, Y[:, 1:])
-    ell = hi - lo
-    if (ell <= 0).any():
-        raise InternalCheckError("projected sample with empty fiber")
-    return vals, lo, hi, ell
-
-
-def l1_gap_mc(
-    basis: lat.OrientedBasis,
-    ff: fld.FoldedBoundary,
-    seed: int = 0,
-    samples: int = 10_000,
-) -> McEstimate:
-    """Gap between the boundary function f, evaluated fold-first through ff,
-    and the constant mid-height plane.
-
-    The estimate integrates, over the projected domain, the length of the
-    first-coordinate fiber segment on which the two disagree as classifiers,
-    intersecting both graphs with the parallelotope first. It is expressed in
-    the convention where the parallelotope has volume one (equivalently,
-    lengths scaled by det(Gamma)^(-1/2n)).
-    """
-    Y = lat.sample_parallelotope(basis, seed=seed, count=samples)
-    vals, lo, hi, ell = _fiber_quantities(basis, ff, Y)
-    h = 0.5 * basis.b1_e1
-    f_clip = np.clip(vals, lo, hi)
-    h_clip = np.clip(h, lo, hi)
-    disagree = np.abs(f_clip - h_clip) / ell
-    return McEstimate(
-        estimate=float(disagree.mean()),
-        samples=samples,
-        seed=seed,
-        stderr=float(disagree.std(ddof=1) / math.sqrt(samples)),
-    )
-
-
 def _an_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
     """First coordinate of the nearest corner for the simplex family.
 
@@ -153,47 +115,67 @@ def _an_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
     return (rank0 < kstar).astype(np.int8)
 
 
-def _nearest_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
-    corners = lat.enumerate_corners(basis)
-    idx = lat.cvp_corners_batch(basis, Y)
-    return corners.z[idx, 0].astype(np.int8)
+def _estimate(x: np.ndarray, seed: int) -> McEstimate:
+    x = np.asarray(x, dtype=float)
+    return McEstimate(
+        estimate=float(x.mean()),
+        samples=len(x),
+        seed=seed,
+        stderr=float(x.std(ddof=1) / math.sqrt(len(x))),
+    )
 
 
-def hyperplane_decoding_error_mc(
+def mc_estimates(
     basis: lat.OrientedBasis,
     seed: int = 0,
     samples: int = 10_000,
-) -> McEstimate:
-    """Fraction of uniform parallelotope samples where thresholding the first
-    coordinate at half height decodes a different first corner bit than the
-    nearest-corner search."""
-    n = basis.n
+) -> dict[str, McEstimate]:
+    """Both Monte Carlo rows from one seeded draw of uniform P(B) points y,
+    against the mid-height plane h = b1_e1 / 2.
+
+    decode_error is the fraction of points where thresholding y_1 at h
+    decodes a different first corner bit than the nearest corner, whose bit
+    is y_1 > f(y~). l1_gap integrates, over the projected domain, the share
+    of the first-coordinate fiber on which f and h disagree as classifiers,
+    clipping both graphs to the fiber first. It is expressed in the
+    convention where the parallelotope has volume one (equivalently, lengths
+    scaled by det(Gamma)^(-1/2n)).
+
+    Up to rank MC_FOLD_MAX_N both rows come from one fold-first evaluation
+    of f. Above it f is not built, and only the simplex family has a
+    decode_error row, from its sorted decoder, checked against brute-force
+    corner search on the first CROSS_CHECK_SAMPLES points.
+    """
+    n, fid = basis.n, basis.fid
+    if fid is None:
+        raise DomainError("mc needs a family basis: its fold schedule comes from the family")
     Y = lat.sample_parallelotope(basis, seed=seed, count=samples)
-    pred = (Y[:, 0] > 0.5 * basis.b1_e1).astype(np.int8)
-    if n <= BRUTE_DECODER_MAX_N:
-        bits = _nearest_corner_bits(basis, Y)
-    else:
-        fid = basis.fid
-        if fid is None or fid.family != lat.FAMILY_AN:
+    h = 0.5 * basis.b1_e1
+    if n > MC_FOLD_MAX_N:
+        if fid.family != lat.FAMILY_AN:
             raise DomainError(
                 f"rank {n} exceeds the brute-force decoder limit "
-                f"{BRUTE_DECODER_MAX_N} and no specialized decoder applies"
+                f"{MC_FOLD_MAX_N} and no specialized decoder applies"
             )
         bits = _an_corner_bits(basis, Y)
         m = min(CROSS_CHECK_SAMPLES, samples)
-        brute = _nearest_corner_bits(basis, Y[:m])
+        brute = lat.enumerate_corners(basis).z[lat.cvp_corners_batch(basis, Y[:m]), 0]
         if not np.array_equal(bits[:m], brute):
             bad = int(np.flatnonzero(bits[:m] != brute)[0])
             raise InternalCheckError(
                 f"specialized decoder disagrees with brute force at sample {bad}"
             )
-    ind = (pred != bits).astype(float)
-    return McEstimate(
-        estimate=float(ind.mean()),
-        samples=samples,
-        seed=seed,
-        stderr=float(ind.std(ddof=1) / math.sqrt(samples)),
-    )
+        return {"decode_error": _estimate((Y[:, 0] > h) != bits, seed)}
+    vals = fld.eval_folded_batch(fld.fold_first(basis), Y[:, 1:])
+    lo, hi = lat.fiber_interval_batch(basis, Y[:, 1:])
+    ell = hi - lo
+    if (ell <= 0).any():
+        raise InternalCheckError("projected sample with empty fiber")
+    gap = np.abs(np.clip(vals, lo, hi) - np.clip(h, lo, hi)) / ell
+    return {
+        "decode_error": _estimate((Y[:, 0] > h) != (Y[:, 0] > vals), seed),
+        "l1_gap": _estimate(gap, seed),
+    }
 
 
 def separation_report(n: int, M: int, L: int, w: int) -> dict:

@@ -169,6 +169,13 @@ def build_folded_boundary(
     )
 
 
+def fold_first(basis: lat.OrientedBasis) -> FoldedBoundary:
+    """The fold-first evaluator of f for a family basis: its schedule, f, and
+    build_folded_boundary."""
+    schedule = build_schedule(basis.fid, basis)
+    return build_folded_boundary(bnd.build_boundary(basis), schedule)
+
+
 def sort_fold(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
     """c of each point's fold image: y~ Gt^T sorted descending per block."""
     C = np.atleast_2d(np.asarray(Yt, dtype=float)) @ ff.Gt.T

@@ -39,8 +39,6 @@ FAMILY_RANGES = {
 CORNER_CAP = 20
 GEOM_TOL = 1e-9
 FIRST_COORD_TOL = 1e-12
-# query rows per block of cvp_corners_batch
-CVP_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -190,17 +188,18 @@ def cvp_corners_batch(basis: OrientedBasis, Y: np.ndarray) -> np.ndarray:
     """Row indices into the lexicographic corner list of the nearest corner.
 
     Ties go to the lexicographically smallest z: argmin takes the first
-    minimum. Chunked by CVP_ROWS so that n = 16 stays within memory; callers
-    map rows to z via enumerate_corners(basis).z[rows].
+    minimum. Each block of rows holds about 2^20 distances, so the distance
+    table stays near 8 MB at any n; callers map rows to z via
+    enumerate_corners(basis).z[rows].
     """
     corners = enumerate_corners(basis)
     X = corners.x
     x2 = (X**2).sum(axis=1)
     out = np.empty(Y.shape[0], dtype=np.int64)
-    for lo in range(0, Y.shape[0], CVP_ROWS):
-        block = Y[lo : lo + CVP_ROWS]
-        d2 = x2[None, :] - 2.0 * (block @ X.T)
-        out[lo : lo + CVP_ROWS] = d2.argmin(axis=1)
+    step = max(1, (1 << 20) // len(X))
+    for lo in range(0, Y.shape[0], step):
+        d2 = x2[None, :] - 2.0 * (Y[lo : lo + step] @ X.T)
+        out[lo : lo + step] = d2.argmin(axis=1)
     return out
 
 
@@ -229,7 +228,11 @@ def fiber_interval_batch(
     n = basis.n
     Yt = np.atleast_2d(np.asarray(Yt, dtype=float))
     r = basis.Ginv[0]
-    a0 = np.concatenate([np.zeros((Yt.shape[0], 1)), Yt], axis=1) @ basis.Ginv
+    # a coordinate near the largest double overflows to +-inf (or nan where
+    # infinities of both signs meet), which the interval arithmetic below and
+    # the callers' checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        a0 = np.concatenate([np.zeros((Yt.shape[0], 1)), Yt], axis=1) @ basis.Ginv
     lo = np.full(Yt.shape[0], -np.inf)
     hi = np.full(Yt.shape[0], np.inf)
     for j in range(n):
@@ -238,8 +241,6 @@ def fiber_interval_batch(
             inside = (a0[:, j] >= 0.0) & (a0[:, j] < 1.0)
             lo = np.where(inside, lo, np.inf)
             continue
-        # a coordinate near the largest double overflows to +-inf, which the
-        # interval arithmetic below handles
         with np.errstate(over="ignore", divide="ignore"):
             t0 = (0.0 - a0[:, j]) / rj
             t1 = (1.0 - a0[:, j]) / rj

@@ -1,6 +1,7 @@
 """Reference oracles and reports that only the tests use.
 
 Brute-force nearest-point search and shell enumeration for the lattices,
+the decode-error estimate by brute-force nearest-corner search,
 membership and the bounding box of the projected domain D(B), a Lipschitz
 constant of f, sampled folded-domain counts with the stated
 folded constants beside them, the reduction of extended-box points
@@ -11,9 +12,11 @@ route that the tests compare the program against.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from latticecpwl import analysis as ana
 from latticecpwl import boundary as bnd
 from latticecpwl import folding as fld
 from latticecpwl import lattices as lat
@@ -96,6 +99,27 @@ def cvp_box(basis: lat.OrientedBasis, y: np.ndarray, r: int = 2) -> tuple[np.nda
     # lexicographic tie-break over the candidate z rows
     best = rows[np.lexsort(Z[rows].T[::-1])[0]]
     return Z[best].copy(), X[best].copy()
+
+
+def nearest_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
+    """First bit z_1 of each point's nearest corner, by search over all 2^n."""
+    corners = lat.enumerate_corners(basis)
+    return corners.z[lat.cvp_corners_batch(basis, Y), 0].astype(np.int8)
+
+
+def decode_error_cvp(basis: lat.OrientedBasis, seed: int = 0, samples: int = 10_000) -> ana.McEstimate:
+    """The decode-error row by the brute-force route: on the seeded P(B) draw
+    that `analysis.mc_estimates` takes, the fraction of points whose y_1 >
+    b1_e1 / 2 differs from the nearest corner's first bit."""
+    Y = lat.sample_parallelotope(basis, seed=seed, count=samples)
+    pred = (Y[:, 0] > 0.5 * basis.b1_e1).astype(np.int8)
+    ind = (pred != nearest_corner_bits(basis, Y)).astype(float)
+    return ana.McEstimate(
+        estimate=float(ind.mean()),
+        samples=samples,
+        seed=seed,
+        stderr=float(ind.std(ddof=1) / math.sqrt(samples)),
+    )
 
 
 def domain_contains(basis: lat.OrientedBasis, Yt: np.ndarray) -> np.ndarray:

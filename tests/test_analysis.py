@@ -13,14 +13,19 @@ from latticecpwl import folding as fld
 from latticecpwl import lattices as lat
 from latticecpwl.errors import ConstructionError, DomainError
 
+import oracles
+
 
 def make(family: str, n: int) -> lat.OrientedBasis:
     return lat.build_basis(lat.FamilyId(family, n))
 
 
-def folded(basis: lat.OrientedBasis) -> fld.FoldedBoundary:
-    schedule = fld.build_schedule(basis.fid, basis)
-    return fld.build_folded_boundary(bnd.build_boundary(basis), schedule)
+def l1_gap(basis: lat.OrientedBasis, seed: int, samples: int) -> ana.McEstimate:
+    return ana.mc_estimates(basis, seed=seed, samples=samples)["l1_gap"]
+
+
+def decode_error(basis: lat.OrientedBasis, seed: int, samples: int) -> ana.McEstimate:
+    return ana.mc_estimates(basis, seed=seed, samples=samples)["decode_error"]
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +142,17 @@ def test_decoding_error_bound_rejects_small_n():
 
 def test_l1_gap_deterministic_per_seed():
     basis = make("an", 4)
-    ff = folded(basis)
-    a = ana.l1_gap_mc(basis, ff, seed=5, samples=4_000)
-    b = ana.l1_gap_mc(basis, ff, seed=5, samples=4_000)
+    a = l1_gap(basis, seed=5, samples=4_000)
+    b = l1_gap(basis, seed=5, samples=4_000)
     assert a == b
-    c = ana.l1_gap_mc(basis, ff, seed=6, samples=4_000)
+    c = l1_gap(basis, seed=6, samples=4_000)
     assert c.estimate != a.estimate
 
 
 def test_l1_gap_stderr_scales_with_samples():
     basis = make("an", 4)
-    ff = folded(basis)
-    small = ana.l1_gap_mc(basis, ff, seed=5, samples=4_000)
-    large = ana.l1_gap_mc(basis, ff, seed=5, samples=16_000)
+    small = l1_gap(basis, seed=5, samples=4_000)
+    large = l1_gap(basis, seed=5, samples=16_000)
     assert small.stderr / large.stderr == pytest.approx(2.0, rel=0.15)
 
 
@@ -161,9 +164,7 @@ def test_l1_gap_frozen_values():
         6: 0.07442436489007605,
     }
     for n, value in expected.items():
-        basis = make("an", n)
-        ff = folded(basis)
-        est = ana.l1_gap_mc(basis, ff, seed=7, samples=20_000)
+        est = l1_gap(make("an", n), seed=7, samples=20_000)
         assert est.estimate == pytest.approx(value, abs=1e-12), n
         assert est.samples == 20_000 and est.seed == 7
 
@@ -172,9 +173,7 @@ def test_l1_gap_within_covering_bound_small_n():
     # the covering bound 2^n/n! holds with three-sigma margin up to n = 6;
     # beyond that the measured gap exceeds it (decays far slower than 2^n/n!)
     for n in range(3, 7):
-        basis = make("an", n)
-        ff = folded(basis)
-        est = ana.l1_gap_mc(basis, ff, seed=7, samples=20_000)
+        est = l1_gap(make("an", n), seed=7, samples=20_000)
         assert est.estimate + 3 * est.stderr < 2**n / math.factorial(n), n
 
 
@@ -182,21 +181,20 @@ def test_l1_gap_graph_distance_dominates_clipped():
     # the raw graph distance to the mid-height plane, on the same samples and
     # without the parallelotope clipping, bounds the clipped gap
     basis = make("an", 5)
-    ff = folded(basis)
-    est = ana.l1_gap_mc(basis, ff, seed=3, samples=10_000)
+    est = l1_gap(basis, seed=3, samples=10_000)
     Yt = lat.sample_parallelotope(basis, seed=3, count=10_000)[:, 1:]
     lo, hi = lat.fiber_interval_batch(basis, Yt)
-    graph = np.abs(fld.eval_folded_batch(ff, Yt) - basis.b1_e1 / 2) / (hi - lo)
+    graph = np.abs(fld.eval_folded_batch(fld.fold_first(basis), Yt) - basis.b1_e1 / 2) / (hi - lo)
     assert graph.mean() >= est.estimate
 
 
 def test_l1_gap_agrees_with_decode_error_route():
     # the clipped fiber gap integrates the same disagreement volume that the
-    # nearest-corner indicator samples; the two estimators must agree
+    # nearest-corner indicator samples; the two estimators must agree, here
+    # with the indicator on an independent draw and by brute-force search
     basis = make("an", 4)
-    ff = folded(basis)
-    a = ana.l1_gap_mc(basis, ff, seed=21, samples=50_000)
-    b = ana.hyperplane_decoding_error_mc(basis, seed=22, samples=50_000)
+    a = l1_gap(basis, seed=21, samples=50_000)
+    b = oracles.decode_error_cvp(basis, seed=22, samples=50_000)
     sigma = math.hypot(a.stderr, b.stderr)
     assert abs(a.estimate - b.estimate) < 5 * sigma
 
@@ -207,39 +205,61 @@ def test_l1_gap_agrees_with_decode_error_route():
 
 def test_decode_error_deterministic_per_seed():
     basis = make("an", 4)
-    a = ana.hyperplane_decoding_error_mc(basis, seed=5, samples=4_000)
-    b = ana.hyperplane_decoding_error_mc(basis, seed=5, samples=4_000)
+    a = decode_error(basis, seed=5, samples=4_000)
+    b = decode_error(basis, seed=5, samples=4_000)
     assert a == b
 
 
-def spy_an_corner_bits(monkeypatch) -> list:
-    """Record each call of the sorted A_n decoder."""
-    calls = []
-    real = ana._an_corner_bits
+MC_FOLD_INSTANCES = (
+    [("an", n) for n in range(2, ana.MC_FOLD_MAX_N + 1)]
+    + [(family, n) for family in ("dn-const-a", "dn-second") for n in range(2, ana.MC_FOLD_MAX_N + 1)]
+    + [("en", n) for n in (6, 7, 8)]
+)
 
-    def spy(basis, Y):
+
+@pytest.mark.parametrize("family,n", MC_FOLD_INSTANCES)
+def test_decode_error_equals_brute_force_route(family, n):
+    # y_1 > f(y~) is the nearest corner's first bit, so the fold-first row
+    # is the brute-force estimate exactly, value and stderr
+    basis = make(family, n)
+    for seed in (0, 3, 42):
+        for samples in (2, 10_000):
+            got = decode_error(basis, seed=seed, samples=samples)
+            want = oracles.decode_error_cvp(basis, seed=seed, samples=samples)
+            assert (got.estimate, got.stderr) == (want.estimate, want.stderr), (seed, samples)
+            assert (got.seed, got.samples) == (seed, samples)
+
+
+def spy(monkeypatch, module, name: str) -> list:
+    """Record the rank of each call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(basis, Y):
         calls.append(basis.n)
         return real(basis, Y)
 
-    monkeypatch.setattr(ana, "_an_corner_bits", spy)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
 def test_decode_error_within_bound_at_n6(monkeypatch):
-    calls = spy_an_corner_bits(monkeypatch)
+    sorted_calls = spy(monkeypatch, ana, "_an_corner_bits")
+    brute_calls = spy(monkeypatch, lat, "cvp_corners_batch")
     basis = make("an", 6)
-    est = ana.hyperplane_decoding_error_mc(basis, seed=11, samples=50_000)
+    est = decode_error(basis, seed=11, samples=50_000)
     assert est.estimate == pytest.approx(0.07454, abs=1e-12)
     assert est.estimate + 3 * est.stderr < ana.decoding_error_bound(6)
-    assert calls == []  # the brute-force decoder ran
+    assert sorted_calls == [] and brute_calls == []  # f decoded every point
 
 
 def test_decode_error_fast_decoder_beyond_brute_cap(monkeypatch):
-    calls = spy_an_corner_bits(monkeypatch)
+    calls = spy(monkeypatch, ana, "_an_corner_bits")
     basis = make("an", 12)
-    est = ana.hyperplane_decoding_error_mc(basis, seed=2, samples=5_000)
+    rows = ana.mc_estimates(basis, seed=2, samples=5_000)
     assert calls == [12]
-    assert est.estimate == pytest.approx(0.0554, abs=1e-12)
+    assert list(rows) == ["decode_error"]  # f is not built above the rank cap
+    assert rows["decode_error"].estimate == pytest.approx(0.0554, abs=1e-12)
 
 
 def test_fast_decoder_matches_brute_exhaustively():
@@ -247,15 +267,21 @@ def test_fast_decoder_matches_brute_exhaustively():
         basis = make("an", n)
         Y = lat.sample_parallelotope(basis, seed=3, count=5_000)
         fast = ana._an_corner_bits(basis, Y)
-        brute = ana._nearest_corner_bits(basis, Y)
+        brute = oracles.nearest_corner_bits(basis, Y)
         assert np.array_equal(fast, brute), n
 
 
+def test_mc_estimates_rejects_a_basis_without_family():
+    # f is served fold-first, and the fold schedule comes from the family
+    anonymous = lat.orient_basis(lat.build_gram(lat.FamilyId("an", 4)))
+    with pytest.raises(DomainError, match="family basis"):
+        ana.mc_estimates(anonymous, seed=1, samples=100)
+
+
 def test_decode_error_rejects_unsupported_large_rank():
-    gram = lat.build_gram(lat.FamilyId("an", 12))
-    anonymous = lat.orient_basis(gram)  # no family tag attached
-    with pytest.raises(DomainError):
-        ana.hyperplane_decoding_error_mc(anonymous, seed=1, samples=100)
+    # above MC_FOLD_MAX_N only the simplex family has a decoder
+    with pytest.raises(DomainError, match="no specialized decoder applies"):
+        ana.mc_estimates(make("dn-second", 11), seed=1, samples=100)
 
 
 # ---------------------------------------------------------------------------

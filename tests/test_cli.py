@@ -199,6 +199,27 @@ def test_eval_huge_coordinate_exits_2_with_one_line(capsys, tmp_path, recwarn, r
     assert not recwarn.list
 
 
+HUGE_MIXED = "1.7976931348623157e308 -1.7976931348623157e308 1.7976931348623157e308"
+
+
+@pytest.mark.parametrize(
+    "command,row,what",
+    [
+        ("eval", HUGE_MIXED, "lies outside D(B)"),
+        ("decode", HUGE_MIXED + " 1", "is too far from the origin to reduce"),
+    ],
+    ids=["eval", "decode"],
+)
+def test_huge_mixed_sign_row_exits_2_with_one_line(capsys, tmp_path, recwarn, command, row, what):
+    # y Ginv overflows to infinities of both signs, and to nan where they
+    # meet; the row is rejected and no numpy warning reaches stderr
+    pts = tmp_path / "pts.txt"
+    pts.write_text(row + "\n")
+    code, out, err = run(capsys, [command, "--family", "an", "--n", "4", "--in", str(pts)])
+    assert (code, out, err) == (2, "", f"error: {pts}: line 1 {what}\n")
+    assert not recwarn.list
+
+
 def test_eval_wrong_dimension_exits_2(capsys, tmp_path):
     pts = tmp_path / "pts.txt"
     # a uniformly short file, and a ragged one whose second row is short
@@ -432,6 +453,37 @@ def test_mc_beyond_brute_cap_reports_decode_only(capsys):
     assert code == 1
     kinds = [line.split(",")[0] for line in out.splitlines()[1:]]
     assert kinds == ["decode_error"]
+
+
+MC_PINNED = {
+    ("an", 8): (1, """\
+kind,seed,samples,estimate,stderr,bound,pass
+decode_error,42,10000,0.0721,0.00258666350397733,0.006415654927377436,False
+l1_gap,42,10000,0.0687850738494842,0.0007306559338406944,0.006349206349206349,False
+"""),
+    ("en", 8): (1, """\
+kind,seed,samples,estimate,stderr,bound,pass
+decode_error,42,10000,0.4304,0.004951569024418458,0.006415654927377436,False
+l1_gap,42,10000,0.4287827822199857,0.0038951298092206148,0.006349206349206349,False
+"""),
+    ("dn-second", 6): (1, """\
+kind,seed,samples,estimate,stderr,bound,pass
+decode_error,42,10000,0.1895,0.003919248786579529,0.09013091992433227,False
+l1_gap,42,10000,0.18679301918595395,0.0021995276490456494,0.08888888888888889,False
+"""),
+    ("an", 12): (1, """\
+kind,seed,samples,estimate,stderr,bound,pass
+decode_error,42,10000,0.0595,0.0023656996118411456,8.610695291507141e-06,False
+"""),
+}
+
+
+@pytest.mark.parametrize("family,n", list(MC_PINNED), ids=lambda v: str(v))
+def test_mc_stdout_pinned(capsys, family, n):
+    # stdout and exit code at the default seed and samples, frozen from the
+    # two-draw implementation that decoded by brute-force corner search
+    code, out, err = run(capsys, ["mc", "--family", family, "--n", str(n), "--format", "csv"])
+    assert (code, out, err) == (*MC_PINNED[(family, n)], "")
 
 
 def test_mc_rejects_a_single_sample(capsys):

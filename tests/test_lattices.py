@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,26 @@ def test_cvp_corners_tie_break_lex():
     basis = lat.build_basis(lat.FamilyId("an", 2))
     y = basis.G[1] / 2
     assert nearest_corner_z(basis, y) == [[0, 0]]
+
+
+def test_cvp_corners_memory_stays_flat_in_n():
+    # at an 14 (16,384 corners) one block of all 2,000 rows holds two
+    # 262 MB distance tables; blocks of about 2^20 distances hold two 8 MB ones
+    basis = lat.build_basis(lat.FamilyId("an", 14))
+    Y = lat.sample_parallelotope(basis, seed=5, count=2_000)
+    tracemalloc.start()
+    try:
+        rows = lat.cvp_corners_batch(basis, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    # the same indices as one block over every row (distances built in place)
+    X = lat.enumerate_corners(basis).x
+    d2 = Y @ X.T
+    d2 *= -2.0
+    d2 += (X**2).sum(axis=1)
+    assert np.array_equal(rows, d2.argmin(axis=1))
 
 
 def test_cvp_box_matches_corners_on_parallelotope():
