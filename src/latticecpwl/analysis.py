@@ -16,11 +16,6 @@ from . import folding as fld
 from . import lattices as lat
 from .errors import ConstructionError, DomainError, InternalCheckError
 
-# mc builds f, and computes both rows from it, up to this rank; beyond it
-# only the simplex family has a decode_error row, from its sorted decoder
-MC_FOLD_MAX_N = 10
-CROSS_CHECK_SAMPLES = 1_000
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -94,27 +89,6 @@ def decoding_error_bound(n: int) -> float:
     return 2.0 ** (-exponent) / math.sqrt(2.0 * math.pi * n)
 
 
-def _an_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
-    """First coordinate of the nearest corner for the simplex family.
-
-    Minimizing |y - zB|^2 over z in {0,1}^n reduces, for the Gram matrix
-    J + I, to -2 sum z_i c_i + S^2 + S with c = y B^T and S = sum z_i, so the
-    best z with S = k takes the k largest c_i and the best k minimizes
-    k^2 + k - 2 (top-k partial sum). z_1 = 1 iff c_1 ranks inside the top k.
-    """
-    n = basis.n
-    c = Y @ basis.G.T
-    order = np.sort(c, axis=1)[:, ::-1]
-    csum = np.cumsum(order, axis=1)
-    k = np.arange(n + 1)
-    obj = k * k + k - 2.0 * np.concatenate(
-        [np.zeros((Y.shape[0], 1)), csum], axis=1
-    )
-    kstar = obj.argmin(axis=1)
-    rank0 = (c > c[:, :1]).sum(axis=1)
-    return (rank0 < kstar).astype(np.int8)
-
-
 def _estimate(x: np.ndarray, seed: int) -> McEstimate:
     x = np.asarray(x, dtype=float)
     return McEstimate(
@@ -141,31 +115,12 @@ def mc_estimates(
     convention where the parallelotope has volume one (equivalently, lengths
     scaled by det(Gamma)^(-1/2n)).
 
-    Up to rank MC_FOLD_MAX_N both rows come from one fold-first evaluation
-    of f. Above it f is not built, and only the simplex family has a
-    decode_error row, from its sorted decoder, checked against brute-force
-    corner search on the first CROSS_CHECK_SAMPLES points.
+    Both rows come from one fold-first evaluation of f, at every rank.
     """
-    n, fid = basis.n, basis.fid
-    if fid is None:
+    if basis.fid is None:
         raise DomainError("mc needs a family basis: its fold schedule comes from the family")
     Y = lat.sample_parallelotope(basis, seed=seed, count=samples)
     h = 0.5 * basis.b1_e1
-    if n > MC_FOLD_MAX_N:
-        if fid.family != lat.FAMILY_AN:
-            raise DomainError(
-                f"rank {n} exceeds the brute-force decoder limit "
-                f"{MC_FOLD_MAX_N} and no specialized decoder applies"
-            )
-        bits = _an_corner_bits(basis, Y)
-        m = min(CROSS_CHECK_SAMPLES, samples)
-        brute = lat.enumerate_corners(basis).z[lat.cvp_corners_batch(basis, Y[:m]), 0]
-        if not np.array_equal(bits[:m], brute):
-            bad = int(np.flatnonzero(bits[:m] != brute)[0])
-            raise InternalCheckError(
-                f"specialized decoder disagrees with brute force at sample {bad}"
-            )
-        return {"decode_error": _estimate((Y[:, 0] > h) != bits, seed)}
     vals = fld.eval_folded_batch(fld.fold_first(basis), Y[:, 1:])
     lo, hi = lat.fiber_interval_batch(basis, Y[:, 1:])
     ell = hi - lo

@@ -60,13 +60,11 @@ class BoundaryFunction:
     memberships: np.ndarray  # (Pm, 2) int, (group id, plane id) in (g, p) order
     pair_memb: np.ndarray  # (Np,) membership id per pair
 
-    @property
-    def n(self) -> int:
-        return self.basis.n
 
-
-def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
-    """Construct f from all (x in C^1, x' in C^0) closest-neighbor pairs.
+def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> BoundaryFunction:
+    """Construct f from the (x in C^1, x' in C^0) closest-neighbor pairs among
+    the corner labels z, lexicographically ordered; by default all 2^n
+    corners. `folding.chamber_corners` gives the labels of the folded f.
 
     The bisector of (x, x') has v = x - x' and p = (||x||^2 - ||x'||^2)/2.
     With integer Gram data both are exact: the plane key stores the integer
@@ -75,11 +73,12 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
     Built in one array pass. The pairs are the entries equal to 2 of the
     integer norm table q(x) + q(x') - 2 x gram x'^T, taken over blocks of C^1
     rows of about 2^20 entries each, so no C^1 x C^0 table is ever held; read
-    row-major, they come corner by corner, x' ascending. Each key packs into
-    one int64, and plane ids number the distinct keys in first-occurrence
-    order. Corners merge by their sorted plane-id tuples, which also order the
-    groups; a pair's membership id is its group's start plus its plane's rank
-    in the group. Only the merge (per corner) and V (per plane) loop in Python.
+    row-major, they come corner by corner, x' ascending. Plane ids number the
+    distinct keys in first-occurrence order, found by a stable lexsort of the
+    key rows, so no key is packed into one integer at any n. Corners merge by
+    their sorted plane-id tuples, which also order the groups; a pair's
+    membership id is its group's start plus its plane's rank in the group.
+    Only the merge (per corner) and V (per plane) loop in Python.
     """
     if not basis.gram_is_integral:
         raise ConstructionError("boundary construction needs an integer gram matrix")
@@ -92,9 +91,9 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
             f"boundary construction needs an even gram diagonal with minimum 2, "
             f"got {diag.tolist()}"
         )
-    corners = lat.enumerate_corners(basis)
-    c1 = corners.z[corners.c1_rows]
-    c0 = corners.z[corners.c0_rows]
+    if z is None:
+        z = lat.enumerate_corners(basis).z
+    c1, c0 = z[z[:, 0] == 1], z[z[:, 0] == 0]
 
     q0 = np.einsum("ij,jk,ik->i", c0, gram, c0)
     q1 = np.einsum("ij,jk,ik->i", c1, gram, c1)
@@ -111,10 +110,12 @@ def build_boundary(basis: OrientedBasis) -> BoundaryFunction:
     d = pair_x - pair_xp
     # 2p = 2 z' gram d + d gram d, and d gram d = 2 on every pair
     key_rows = np.column_stack([d, 2 * np.einsum("ij,jk,ik->i", pair_xp, gram, d) + 2])
-    base = key_rows.min(axis=0, initial=0)
-    dims = tuple((key_rows.max(axis=0, initial=0) - base + 1).tolist())
-    code = np.ravel_multi_index(tuple((key_rows - base).T), dims)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    by_key = np.lexsort(key_rows.T[::-1])
+    new = np.ones(len(by_key), dtype=bool)
+    new[1:] = (np.diff(key_rows[by_key], axis=0) != 0).any(axis=1)
+    first = by_key[new]  # the sort is stable: each key's first pair
+    inverse = np.empty_like(by_key)
+    inverse[by_key] = np.cumsum(new) - 1
     order = np.argsort(first)
     pair_plane = np.argsort(order)[inverse]
     keys = key_rows[first[order]]

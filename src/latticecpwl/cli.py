@@ -124,8 +124,8 @@ def cmd_fold(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_synth(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
     basis = lat.build_basis(fid)
-    f = bnd.build_boundary(basis)
     schedule = fld.build_schedule(fid, basis)
+    f = bnd.build_boundary(basis, fld.chamber_corners(basis, schedule))
     network = net.synthesize(basis, schedule, f, M=args.M)
     return 0, net.network_to_json(network) + "\n"
 

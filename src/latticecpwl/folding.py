@@ -86,18 +86,66 @@ def verify_fold_invariance(
 ) -> float:
     """Max |f(y~) - f(F(y~))| over exact D(B) samples from P(B)'s lower facets,
     with B = f.basis. The two sides take independent routes: f(y~) is dense,
-    the min-max over every membership at y~; f(F(y~)) is fold-first, the sort
-    F of c = y~ Gt^T and then the min-max over the surviving memberships in c.
+    the min-max over every membership of f at y~; f(F(y~)) is fold-first, the
+    sort F of c = y~ Gt^T and then the min-max over the f built from the
+    chamber corners alone.
 
     The count samples are one sample_domain draw from seed, so seed and count
     alone fix the samples and the result.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    ff = build_folded_boundary(f, schedule)
+    chamber = bnd.build_boundary(f.basis, chamber_corners(f.basis, schedule))
+    ff = build_folded_boundary(chamber, schedule)
     Yt = lat.sample_domain(f.basis, seed=seed, count=count)
     a, _ = bnd.eval_boundary_batch(f, Yt)
     return float(np.abs(a - eval_folded_batch(ff, Yt)).max())
+
+
+def _swap_blocks(basis: lat.OrientedBasis, schedule: FoldingSchedule) -> list[list[int]]:
+    """The blocks of linked schedule steps, each its ascending basis indices
+    (1-based). Raises ConstructionError unless each step (j, k),
+    2 <= j < k <= n, leaves the integer Gram invariant when b_j and b_k trade
+    places, and each block holds all its pairs.
+
+    Then step (j, k) is the swap of c_j and c_k, and
+    z gram (e_j - e_k) = (g_jj - g_jk)(z_j - z_k) with g_jj > g_jk (the Gram
+    is positive definite), so the non-negative side of every step is the
+    descending order within each block, for points and corners alike.
+    """
+    n, gram = basis.n, np.asarray(basis.gram).tolist()
+    blocks: list[set[int]] = []
+    for s in schedule.steps:
+        if not 2 <= s.j < s.k <= n:
+            raise ConstructionError(f"step ({s.j},{s.k}) is not a pair 2 <= j < k <= {n}")
+        # the Gram is symmetric, so it is invariant under the swap iff row k
+        # is row j with its entries j and k traded
+        row = gram[s.j - 1][:]
+        row[s.j - 1], row[s.k - 1] = row[s.k - 1], row[s.j - 1]
+        if row != gram[s.k - 1]:
+            raise ConstructionError(f"step ({s.j},{s.k}) does not swap b_{s.j} and b_{s.k}")
+        linked = [b for b in blocks if s.j in b or s.k in b]
+        blocks = [b for b in blocks if b not in linked] + [{s.j, s.k}.union(*linked)]
+    if len({(s.j, s.k) for s in schedule.steps}) != sum(len(b) * (len(b) - 1) // 2 for b in blocks):
+        raise ConstructionError("a schedule block lacks a pair, so the fold is not a sort")
+    return [sorted(b) for b in blocks]
+
+
+def chamber_corners(basis: lat.OrientedBasis, schedule: FoldingSchedule) -> np.ndarray:
+    """The corner labels z on the non-negative side of every schedule step,
+    lexicographically ordered: sorted descending within each block of
+    `_swap_blocks` and free elsewhere. These are the corners of the neighbor
+    pairs that survive the fold: 2n for an and dn-const-a, 4n - 4 for
+    dn-second, 6n - 12 for en, against 2^n in all."""
+    blocks = _swap_blocks(basis, schedule)
+    free = set(range(1, basis.n + 1)).difference(*blocks)
+    z = np.zeros((1, basis.n), dtype=np.int64)
+    for blk in blocks + [[j] for j in sorted(free)]:
+        m = len(blk)
+        labels = np.arange(m) < np.arange(m + 1)[:, None]  # row k: k leading ones
+        z = np.repeat(z, m + 1, axis=0)
+        z[:, np.array(blk) - 1] = np.tile(labels, (len(z) // (m + 1), 1))
+    return z[np.lexsort(z.T[::-1])]
 
 
 def surviving_pairs(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.ndarray:
@@ -141,28 +189,14 @@ class FoldedBoundary:
 def build_folded_boundary(
     f: bnd.BoundaryFunction, schedule: FoldingSchedule
 ) -> FoldedBoundary:
-    """The fold-first evaluator of f. Raises ConstructionError unless each step
-    (j, k), 2 <= j < k <= n, leaves the integer Gram invariant when b_j and
-    b_k trade places (so the reflection is the swap) and each block holds all
-    its pairs (so the non-negative side of every step is the descending
-    order)."""
-    gram = np.asarray(f.basis.gram)
-    blocks: list[set[int]] = []
-    for s in schedule.steps:
-        if not 2 <= s.j < s.k <= f.n:
-            raise ConstructionError(f"step ({s.j},{s.k}) is not a pair 2 <= j < k <= {f.n}")
-        swap = np.arange(f.n)
-        swap[[s.j - 1, s.k - 1]] = s.k - 1, s.j - 1
-        if not np.array_equal(gram[np.ix_(swap, swap)], gram):
-            raise ConstructionError(f"step ({s.j},{s.k}) does not swap b_{s.j} and b_{s.k}")
-        linked = [b for b in blocks if s.j in b or s.k in b]
-        blocks = [b for b in blocks if b not in linked] + [{s.j, s.k}.union(*linked)]
-    if len({(s.j, s.k) for s in schedule.steps}) != sum(len(b) * (len(b) - 1) // 2 for b in blocks):
-        raise ConstructionError("a schedule block lacks a pair, so the fold is not a sort")
+    """The fold-first evaluator of f: its surviving memberships in the
+    coordinates c, with the blocks of `_swap_blocks`, which raises
+    ConstructionError unless the fold is the sort."""
+    blocks = _swap_blocks(f.basis, schedule)
     group, plane = folded_structure(f, schedule).T
     return FoldedBoundary(
         Gt=f.basis.G[1:, 1:],
-        blocks=tuple(np.array(sorted(b)) - 2 for b in blocks),  # b_j is column j - 2
+        blocks=tuple(np.array(b) - 2 for b in blocks),  # b_j is column j - 2
         W=f.basis.Ginv[1:, 1:].T @ f.A[plane].T,
         bias=f.c[plane],
         group=group,
@@ -170,10 +204,14 @@ def build_folded_boundary(
 
 
 def fold_first(basis: lat.OrientedBasis) -> FoldedBoundary:
-    """The fold-first evaluator of f for a family basis: its schedule, f, and
-    build_folded_boundary."""
+    """The fold-first evaluator of f for a family basis: its schedule, f from
+    the chamber corners alone, and build_folded_boundary. Every pair of that
+    f survives the fold, and its groups, as sets of planes, are the surviving
+    groups of the f built from all 2^n corners."""
     schedule = build_schedule(basis.fid, basis)
-    return build_folded_boundary(bnd.build_boundary(basis), schedule)
+    return build_folded_boundary(
+        bnd.build_boundary(basis, chamber_corners(basis, schedule)), schedule
+    )
 
 
 def sort_fold(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:

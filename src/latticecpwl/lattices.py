@@ -165,23 +165,15 @@ class CornerSet:
 
     z: np.ndarray  # (2^n, n) int64, lexicographically ordered
     x: np.ndarray  # (2^n, n) float
-    c0_rows: np.ndarray  # row indices with z_1 = 0
-    c1_rows: np.ndarray  # row indices with z_1 = 1
 
 
 def enumerate_corners(basis: OrientedBasis) -> CornerSet:
-    """All corners zG for z in {0,1}^n, split by the first integer coordinate."""
+    """All corners zG for z in {0,1}^n."""
     n = basis.n
     if n > CORNER_CAP:
         raise ResourceError(f"corner enumeration capped at n <= {CORNER_CAP}, got {n}")
     z = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
-    x = z @ basis.G
-    return CornerSet(
-        z=z,
-        x=x,
-        c0_rows=np.flatnonzero(z[:, 0] == 0),
-        c1_rows=np.flatnonzero(z[:, 0] == 1),
-    )
+    return CornerSet(z=z, x=z @ basis.G)
 
 
 def cvp_corners_batch(basis: OrientedBasis, Y: np.ndarray) -> np.ndarray:

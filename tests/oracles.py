@@ -1,7 +1,8 @@
 """Reference oracles and reports that only the tests use.
 
 Brute-force nearest-point search and shell enumeration for the lattices,
-the decode-error estimate by brute-force nearest-corner search,
+the decode-error estimate by brute-force nearest-corner search and, for the
+simplex family at any rank, by the sorted nearest-corner decoder,
 membership and the bounding box of the projected domain D(B), a Lipschitz
 constant of f, sampled folded-domain counts with the stated
 folded constants beside them, the reduction of extended-box points
@@ -107,19 +108,52 @@ def nearest_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
     return corners.z[lat.cvp_corners_batch(basis, Y), 0].astype(np.int8)
 
 
-def decode_error_cvp(basis: lat.OrientedBasis, seed: int = 0, samples: int = 10_000) -> ana.McEstimate:
-    """The decode-error row by the brute-force route: on the seeded P(B) draw
-    that `analysis.mc_estimates` takes, the fraction of points whose y_1 >
-    b1_e1 / 2 differs from the nearest corner's first bit."""
+def an_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
+    """First bit z_1 of each point's nearest corner for the simplex family,
+    by sorting (Conway & Sloane, "Fast quantizing and decoding algorithms for
+    lattice quantizers and codes", 1982), at any rank.
+
+    Minimizing |y - zB|^2 over z in {0,1}^n reduces, for the Gram matrix
+    J + I, to -2 sum z_i c_i + S^2 + S with c = y B^T and S = sum z_i, so the
+    best z with S = k takes the k largest c_i and the best k minimizes
+    k^2 + k - 2 (top-k partial sum). z_1 = 1 iff c_1 ranks inside the top k.
+    """
+    n = basis.n
+    c = Y @ basis.G.T
+    order = np.sort(c, axis=1)[:, ::-1]
+    csum = np.cumsum(order, axis=1)
+    k = np.arange(n + 1)
+    obj = k * k + k - 2.0 * np.concatenate(
+        [np.zeros((Y.shape[0], 1)), csum], axis=1
+    )
+    kstar = obj.argmin(axis=1)
+    rank0 = (c > c[:, :1]).sum(axis=1)
+    return (rank0 < kstar).astype(np.int8)
+
+
+def _decode_error(basis, seed, samples, corner_bits) -> ana.McEstimate:
     Y = lat.sample_parallelotope(basis, seed=seed, count=samples)
     pred = (Y[:, 0] > 0.5 * basis.b1_e1).astype(np.int8)
-    ind = (pred != nearest_corner_bits(basis, Y)).astype(float)
+    ind = (pred != corner_bits(basis, Y)).astype(float)
     return ana.McEstimate(
         estimate=float(ind.mean()),
         samples=samples,
         seed=seed,
         stderr=float(ind.std(ddof=1) / math.sqrt(samples)),
     )
+
+
+def decode_error_cvp(basis: lat.OrientedBasis, seed: int = 0, samples: int = 10_000) -> ana.McEstimate:
+    """The decode-error row by the brute-force route: on the seeded P(B) draw
+    that `analysis.mc_estimates` takes, the fraction of points whose y_1 >
+    b1_e1 / 2 differs from the nearest corner's first bit."""
+    return _decode_error(basis, seed, samples, nearest_corner_bits)
+
+
+def decode_error_sorted(basis: lat.OrientedBasis, seed: int = 0, samples: int = 10_000) -> ana.McEstimate:
+    """The decode-error row of `decode_error_cvp`, with the nearest corner's
+    first bit from the sorted simplex-family decoder `an_corner_bits`."""
+    return _decode_error(basis, seed, samples, an_corner_bits)
 
 
 def domain_contains(basis: lat.OrientedBasis, Yt: np.ndarray) -> np.ndarray:

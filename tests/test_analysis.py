@@ -211,8 +211,8 @@ def test_decode_error_deterministic_per_seed():
 
 
 MC_FOLD_INSTANCES = (
-    [("an", n) for n in range(2, ana.MC_FOLD_MAX_N + 1)]
-    + [(family, n) for family in ("dn-const-a", "dn-second") for n in range(2, ana.MC_FOLD_MAX_N + 1)]
+    [("an", n) for n in range(2, 11)]
+    + [(family, n) for family in ("dn-const-a", "dn-second") for n in range(2, 13)]
     + [("en", n) for n in (6, 7, 8)]
 )
 
@@ -220,7 +220,8 @@ MC_FOLD_INSTANCES = (
 @pytest.mark.parametrize("family,n", MC_FOLD_INSTANCES)
 def test_decode_error_equals_brute_force_route(family, n):
     # y_1 > f(y~) is the nearest corner's first bit, so the fold-first row
-    # is the brute-force estimate exactly, value and stderr
+    # is the brute-force estimate exactly, value and stderr, also past the
+    # rank 10 up to which mc once built f from all 2^n corners
     basis = make(family, n)
     for seed in (0, 3, 42):
         for samples in (2, 10_000):
@@ -235,38 +236,50 @@ def spy(monkeypatch, module, name: str) -> list:
     calls = []
     real = getattr(module, name)
 
-    def wrapper(basis, Y):
+    def wrapper(basis, *args):
         calls.append(basis.n)
-        return real(basis, Y)
+        return real(basis, *args)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
 def test_decode_error_within_bound_at_n6(monkeypatch):
-    sorted_calls = spy(monkeypatch, ana, "_an_corner_bits")
     brute_calls = spy(monkeypatch, lat, "cvp_corners_batch")
     basis = make("an", 6)
     est = decode_error(basis, seed=11, samples=50_000)
     assert est.estimate == pytest.approx(0.07454, abs=1e-12)
     assert est.estimate + 3 * est.stderr < ana.decoding_error_bound(6)
-    assert sorted_calls == [] and brute_calls == []  # f decoded every point
+    assert brute_calls == []  # f decoded every point
 
 
 def test_decode_error_fast_decoder_beyond_brute_cap(monkeypatch):
-    calls = spy(monkeypatch, ana, "_an_corner_bits")
+    # f from the chamber corners decodes past the brute-force rank, with the
+    # estimate the sorted decoder gave there, and gives the l1_gap row too
+    corner_calls = spy(monkeypatch, lat, "enumerate_corners")
     basis = make("an", 12)
     rows = ana.mc_estimates(basis, seed=2, samples=5_000)
-    assert calls == [12]
-    assert list(rows) == ["decode_error"]  # f is not built above the rank cap
+    assert corner_calls == []
+    assert list(rows) == ["decode_error", "l1_gap"]
     assert rows["decode_error"].estimate == pytest.approx(0.0554, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [11, 12, 16, 20])
+def test_decode_error_equals_sorted_decoder_route(n):
+    # for the simplex family the sorted nearest-corner decoder is exact at
+    # any rank, so the fold-first row equals its route, value and stderr
+    basis = make("an", n)
+    for seed in (0, 42):
+        got = decode_error(basis, seed=seed, samples=3_000)
+        want = oracles.decode_error_sorted(basis, seed=seed, samples=3_000)
+        assert (got.estimate, got.stderr) == (want.estimate, want.stderr), seed
 
 
 def test_fast_decoder_matches_brute_exhaustively():
     for n in [6, 8, 10]:
         basis = make("an", n)
         Y = lat.sample_parallelotope(basis, seed=3, count=5_000)
-        fast = ana._an_corner_bits(basis, Y)
+        fast = oracles.an_corner_bits(basis, Y)
         brute = oracles.nearest_corner_bits(basis, Y)
         assert np.array_equal(fast, brute), n
 
@@ -278,10 +291,13 @@ def test_mc_estimates_rejects_a_basis_without_family():
         ana.mc_estimates(anonymous, seed=1, samples=100)
 
 
-def test_decode_error_rejects_unsupported_large_rank():
-    # above MC_FOLD_MAX_N only the simplex family has a decoder
-    with pytest.raises(DomainError, match="no specialized decoder applies"):
-        ana.mc_estimates(make("dn-second", 11), seed=1, samples=100)
+def test_mc_estimates_two_rows_at_dn_second_11():
+    # the D_n families have no sorted decoder, and f from the chamber corners
+    # gives both rows past the rank where 2^n corners were enumerated
+    rows = ana.mc_estimates(make("dn-second", 11), seed=1, samples=2_000)
+    assert list(rows) == ["decode_error", "l1_gap"]
+    a, b = rows["decode_error"], rows["l1_gap"]
+    assert abs(a.estimate - b.estimate) < 5 * math.hypot(a.stderr, b.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from latticecpwl import boundary as bd
+from latticecpwl import folding as fo
 from latticecpwl import lattices as lat
 from latticecpwl.errors import ConstructionError, InternalCheckError
 from latticecpwl.lattices import FamilyId
@@ -297,14 +298,15 @@ def test_pair_memb_matches_corner_and_plane_key(family, n):
 
 
 
-def _reference_build_boundary(basis):
+def _reference_build_boundary(basis, z=None):
     """The per-pair loop build_boundary replaced, kept as its oracle: every
-    C^1 corner against every C^0 corner, one dict lookup per pair."""
+    C^1 corner of z (all 2^n by default) against every C^0 corner of z, one
+    dict lookup per pair."""
     n = basis.n
     gram = basis.gram.astype(np.int64)
-    corners = lat.enumerate_corners(basis)
-    c1 = corners.z[corners.c1_rows]
-    c0 = corners.z[corners.c0_rows]
+    if z is None:
+        z = lat.enumerate_corners(basis).z
+    c1, c0 = z[z[:, 0] == 1], z[z[:, 0] == 0]
 
     plane_ids = {}
     keys = []
@@ -394,6 +396,20 @@ def test_build_boundary_matches_reference_loop(family, n):
     """The array pass reproduces the per-pair loop byte for byte."""
     basis = lat.build_basis(FamilyId(family, n))
     assert_same_boundary(bd.build_boundary(basis), _reference_build_boundary(basis))
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("an", 1), ("an", 8), ("an", 24), ("an", 64), ("dn-const-a", 12), ("dn-const-a", 64),
+     ("dn-second", 3), ("dn-second", 30), ("dn-second", 64), ("en", 8)],
+)
+def test_build_boundary_on_chamber_corners_matches_reference_loop(family, n):
+    """Given corner labels, the array pass pairs those alone, as the loop does,
+    and numbers the plane keys at any rank."""
+    fid = FamilyId(family, n)
+    basis = lat.build_basis(fid)
+    z = fo.chamber_corners(basis, fo.build_schedule(fid, basis))
+    assert_same_boundary(bd.build_boundary(basis, z), _reference_build_boundary(basis, z))
 
 
 def test_build_boundary_without_pairs_matches_reference_loop():

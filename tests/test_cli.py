@@ -293,6 +293,43 @@ def test_decode_agrees_with_nearest_corner_folded(capsys, tmp_path, family, n):
     check_decode_against_nearest_corner(capsys, tmp_path, family, n)
 
 
+@pytest.mark.parametrize("n", [24, 57, 64])
+def test_decode_agrees_with_sorted_decoder_at_large_rank(capsys, tmp_path, n):
+    # f from the chamber corners serves far past the 2^n corner enumeration;
+    # the sorted simplex-family decoder is the nearest-corner reference there
+    basis = lat.build_basis(lat.FamilyId("an", n))
+    Y = lat.sample_parallelotope(basis, seed=n, count=1_000)
+    pts = tmp_path / "pts.txt"
+    np.savetxt(pts, Y, fmt="%.17g")
+    code, out, _ = run(capsys, ["decode", "--family", "an", "--n", str(n), "--in", str(pts)])
+    assert code == 0
+    bits = np.array(out.splitlines())
+    want = oracles.an_corner_bits(basis, Y).astype(str)
+    known = bits != "?"
+    assert known.mean() > 0.99
+    assert np.array_equal(bits[known], want[known])
+
+
+@pytest.mark.parametrize("family", ["an", "dn-const-a", "dn-second"])
+@pytest.mark.parametrize("n", [57, 64])
+def test_serving_commands_run_at_large_rank(capsys, tmp_path, family, n):
+    # plane keys of n + 1 integers are numbered without packing them into
+    # one int64, which overflowed from n = 57 on
+    basis = lat.build_basis(lat.FamilyId(family, n))
+    projected, full = tmp_path / "e.txt", tmp_path / "d.txt"
+    np.savetxt(projected, lat.sample_domain(basis, seed=1, count=100), fmt="%.17g")
+    np.savetxt(full, 3.0 * lat.sample_parallelotope(basis, seed=2, count=100), fmt="%.17g")
+    base = ["--family", family, "--n", str(n)]
+    for argv, want in [
+        (["eval", *base, "--in", str(projected)], 0),
+        (["decode", *base, "--in", str(full)], 0),
+        (["mc", *base, "--samples", "500"], 1),
+    ]:
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (want, ""), argv
+        assert len(out.splitlines()) == {"eval": 100, "decode": 100, "mc": 3}[argv[0]]
+
+
 def test_decode_reduces_shifted_points(capsys, tmp_path):
     basis = lat.build_basis(lat.FamilyId("an", 4))
     Y = lat.sample_parallelotope(basis, seed=9, count=20)
@@ -446,13 +483,14 @@ def test_mc_fails_honestly_at_n8(capsys):
     assert any(line.endswith("False") for line in out.splitlines()[1:])
 
 
-def test_mc_beyond_brute_cap_reports_decode_only(capsys):
+@pytest.mark.parametrize("family", ["an", "dn-const-a", "dn-second"])
+def test_mc_beyond_brute_cap_reports_both_rows(capsys, family):
     code, out, _ = run(
-        capsys, ["mc", "--family", "an", "--n", "12", "--samples", "2000"]
+        capsys, ["mc", "--family", family, "--n", "12", "--samples", "2000"]
     )
     assert code == 1
     kinds = [line.split(",")[0] for line in out.splitlines()[1:]]
-    assert kinds == ["decode_error"]
+    assert kinds == ["decode_error", "l1_gap"]
 
 
 MC_PINNED = {
@@ -474,6 +512,7 @@ l1_gap,42,10000,0.18679301918595395,0.0021995276490456494,0.08888888888888889,Fa
     ("an", 12): (1, """\
 kind,seed,samples,estimate,stderr,bound,pass
 decode_error,42,10000,0.0595,0.0023656996118411456,8.610695291507141e-06,False
+l1_gap,42,10000,0.058665548167850565,0.0006190821300708706,8.551119662230774e-06,False
 """),
 }
 
@@ -481,7 +520,9 @@ decode_error,42,10000,0.0595,0.0023656996118411456,8.610695291507141e-06,False
 @pytest.mark.parametrize("family,n", list(MC_PINNED), ids=lambda v: str(v))
 def test_mc_stdout_pinned(capsys, family, n):
     # stdout and exit code at the default seed and samples, frozen from the
-    # two-draw implementation that decoded by brute-force corner search
+    # two-draw implementation that decoded by brute-force corner search (an
+    # 12 by the sorted decoder, which gave no l1_gap row; that row is frozen
+    # from f built from the chamber corners)
     code, out, err = run(capsys, ["mc", "--family", family, "--n", str(n), "--format", "csv"])
     assert (code, out, err) == (*MC_PINNED[(family, n)], "")
 

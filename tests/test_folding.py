@@ -209,6 +209,63 @@ def test_folded_structure_frozen(family, n):
 
 
 # every acceptance instance plus an 1, whose projected domain is a point
+CHAMBER_SIZE = {
+    "an": lambda n: 2 * n,
+    "dn-const-a": lambda n: 2 * n,
+    "dn-second": lambda n: 4 * n - 4,
+    "en": lambda n: 6 * n - 12,
+}
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("an", n) for n in range(1, 13)]
+    + [(fam, n) for fam in ("dn-const-a", "dn-second") for n in range(2, 13)]
+    + [("en", n) for n in (6, 7, 8)],
+)
+def test_chamber_corners_pass_the_integer_step_test(family, n):
+    # the corners z gram (e_j - e_k) >= 0 for every step (j, k), in the
+    # lexicographic order of all 2^n corners
+    fid = FamilyId(family, n)
+    basis = lat.build_basis(fid)
+    sched = fo.build_schedule(fid, basis)
+    z = lat.enumerate_corners(basis).z
+    gram = np.asarray(basis.gram)
+    rows = np.array([gram[s.j - 1] - gram[s.k - 1] for s in sched.steps]).reshape(-1, n)
+    chamber = fo.chamber_corners(basis, sched)
+    assert np.array_equal(chamber, z[(z @ rows.T >= 0).all(axis=1)])
+    assert len(chamber) == CHAMBER_SIZE[family](n)
+
+
+def plane_key_groups(f, memberships):
+    """The groups of the membership rows, each as the set of its plane keys."""
+    groups = {}
+    for g, p in memberships.tolist():
+        groups.setdefault(g, set()).add(f.plane_keys[p])
+    return {frozenset(keys) for keys in groups.values()}
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    sorted(FOLDED_STRUCTURE) + [("an", 10), ("dn-const-a", 10), ("dn-second", 10)],
+)
+def test_chamber_f_is_the_surviving_f(family, n):
+    # f from the chamber corners alone keeps every pair, and its groups are
+    # the surviving groups of the f built from all 2^n corners
+    _, basis, f, sched = make(family, n)
+    chamber = bd.build_boundary(basis, fo.chamber_corners(basis, sched))
+    assert fo.surviving_pairs(chamber, sched).all()
+    memberships = fo.folded_structure(chamber, sched)
+    assert np.array_equal(memberships, chamber.memberships)
+    assert plane_key_groups(chamber, memberships) == plane_key_groups(
+        f, fo.folded_structure(f, sched)
+    )
+    if (family, n) in FOLDED_STRUCTURE:
+        group, plane = memberships.T
+        got = (len(memberships), len(np.unique(plane)), len(np.unique(group)))
+        assert got == FOLDED_STRUCTURE[(family, n)]
+
+
 FOLD_FIRST_INSTANCES = [("an", 1)] + sorted(FOLDED_STRUCTURE)
 
 
@@ -227,6 +284,9 @@ def test_fold_first_equals_dense(family, n):
     Yt = agreement_points(basis, f)
     dense, _ = bd.eval_boundary_batch(f, Yt)
     np.testing.assert_allclose(fo.eval_folded_batch(ff, Yt), dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        fo.eval_folded_batch(fo.fold_first(basis), Yt), dense, rtol=0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("family,n", [("an", 1), ("an", 8), ("en", 8)])

@@ -290,8 +290,10 @@ def test_distinct_gradients_match_folded_oracle():
 
 
 def test_network_json_round_trip(capsys):
-    # `synth` output parses back to the in-memory network exactly
-    basis, f, sched = make("en", 6)
+    # `synth` output parses back to the in-memory network exactly; both take
+    # f from the chamber corners, whose unit order differs from the full f's
+    basis, _, sched = make("en", 6)
+    f = bd.build_boundary(basis, fo.chamber_corners(basis, sched))
     nw = net.synthesize(basis, sched, f, M=1)
     assert cli.main(["synth", "--family", "en", "--n", "6", "--M", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

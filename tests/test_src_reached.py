@@ -1,8 +1,9 @@
 """Guard: every function and method in src/latticecpwl runs in the program.
 
 Runs every command on small instances (every format, `synth --M 0/1`,
-`bounds` with and without the separation flags, `mc` past the rank up to
-which it builds f) and the Python-API calls the benchmark makes, under a
+`bounds` with and without the separation flags), the serving commands past
+the rank 20 up to which the corners are enumerated, and the Python-API
+calls the benchmark makes, under a
 profiler that records each function entered. A function that none of this
 reaches belongs in the tests or nowhere.
 """
@@ -61,8 +62,18 @@ def command_runs(tmp_path: pathlib.Path) -> list[list[str]]:
         full = tmp_path / f"{family}{n}_decode.txt"
         np.savetxt(full, 3.0 * lat.sample_parallelotope(basis, seed=2, count=50))
         runs += [["eval", *base, "--in", str(projected)], ["decode", *base, "--in", str(full)]]
-    # above analysis.MC_FOLD_MAX_N mc takes the sorted A_n decoder
-    runs.append(["mc", "--family", "an", "--n", "11", "--samples", "200"])
+    # f from the chamber corners alone serves past the corner cap
+    basis = lat.build_basis(lat.FamilyId("an", 24))
+    projected, full = tmp_path / "an24_eval.txt", tmp_path / "an24_decode.txt"
+    np.savetxt(projected, lat.sample_domain(basis, seed=1, count=50))
+    np.savetxt(full, lat.sample_parallelotope(basis, seed=2, count=50))
+    base = ["--family", "an", "--n", "24"]
+    runs += [
+        ["eval", *base, "--in", str(projected)],
+        ["decode", *base, "--in", str(full)],
+        ["synth", *base],
+        ["mc", "--family", "dn-second", "--n", "11", "--samples", "200"],
+    ]
     return runs
 
 
