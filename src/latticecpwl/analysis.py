@@ -134,16 +134,16 @@ def mc_estimates(
 
 
 def separation_report(n: int, M: int, L: int, w: int) -> dict:
-    """Pure arithmetic of the depth-separation counting argument: how many
-    translated cell copies the extension creates, the piece budget of a
-    width-w depth-L competitor, and whether the exponent condition holds."""
+    """Pure arithmetic of the depth-separation counting argument, in log2
+    so no term overflows at any size: how many translated cell copies the
+    extension creates, the piece budget of a width-w depth-L competitor, and
+    whether the exponent condition holds."""
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     if L < 1 or w < 2:
         raise DomainError(f"need L >= 1 and w >= 2, got L={L}, w={w}")
-    copies = 2 ** (M * (n - 1))
     budget_log2 = (n - 1) * L * math.log2(w)
     required = L * math.log2(w) + n
     return {
@@ -151,11 +151,9 @@ def separation_report(n: int, M: int, L: int, w: int) -> dict:
         "M": M,
         "L": L,
         "w": w,
-        "copies": copies,
         "copies_log2": M * (n - 1),
         "simplex_volume_lower": simplex_volume_bounds(n)[0],
         "piece_budget_log2": budget_log2,
-        "piece_budget": 2.0**budget_log2,
         "required_M": required,
         "margin": M - required,
         "condition_satisfied": M >= required,

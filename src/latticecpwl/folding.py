@@ -3,10 +3,10 @@
 Builds per-family reflection schedules and evaluates f on the folded domain.
 Each schedule reflection swaps two coordinates of c = y~ Gt^T, so the fold
 is the sort: `sort_fold` orders c descending within each block of linked
-steps, and `network.reflection_block` is the ReLU construction of the same
-map. The module also finds the pieces that survive on the folded domain,
-evaluates f fold-first over them, and verifies that f is invariant under
-the fold.
+steps, and the compare-exchange units of `network.synthesize` are the ReLU
+construction of the same map. The module also finds the pieces that
+survive on the folded domain, evaluates f fold-first over them, and
+verifies that f is invariant under the fold.
 """
 from __future__ import annotations
 
@@ -24,16 +24,13 @@ THREADS_ENV = "LATTICE_FOLD_THREADS"
 
 @dataclass(frozen=True)
 class FoldStep:
-    """One reflection: across the bisector of b_j and b_k (1-based indices).
-
-    v is the normal restricted to coordinates 2..n; the full normal has first
-    coordinate exactly zero, so the reflection acts on the projected domain.
-    The hyperplane passes through the origin.
-    """
+    """One reflection: across the bisector of b_j and b_k (1-based indices),
+    a hyperplane through the origin. Its normal b_j - b_k has first
+    coordinate zero (j, k >= 2), so it acts on the projected domain, where
+    it swaps c_j and c_k (`_swap_blocks`)."""
 
     j: int
     k: int
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,18 +61,7 @@ def build_schedule(fid: lat.FamilyId, basis: lat.OrientedBasis) -> FoldingSchedu
         raise ConstructionError(
             f"basis rank {basis.n} does not match family rank {fid.n}"
         )
-    steps = []
-    for j, k in _schedule_pairs(fid):
-        full = basis.G[j - 1] - basis.G[k - 1]
-        if full[0] != 0.0:
-            raise ConstructionError(
-                f"bisector normal for pair ({j},{k}) has nonzero first "
-                f"coordinate {full[0]!r}"
-            )
-        v = full[1:].copy()
-        v.setflags(write=False)
-        steps.append(FoldStep(j=j, k=k, v=v))
-    return FoldingSchedule(steps=tuple(steps))
+    return FoldingSchedule(steps=tuple(FoldStep(j=j, k=k) for j, k in _schedule_pairs(fid)))
 
 
 def verify_fold_invariance(

@@ -1,9 +1,10 @@
 """Feed-forward synthesis of the boundary function.
 
 Networks are explicit layer stacks: translation blocks that reduce the
-extended box into the base cell, reflection blocks that fold onto the
-non-negative side of the schedule hyperplanes, a parallel affine stage for
-the surviving pieces, and max/min trees that combine them. Evaluation is
+extended box into the base cell, compare-exchange units that sort the
+fold-first coordinates c (the fold onto the non-negative side of the
+schedule hyperplanes), a parallel affine stage for the surviving pieces,
+and max/min trees that combine them. Evaluation is
 exact layer-by-layer arithmetic; nothing is trained.
 """
 from __future__ import annotations
@@ -112,33 +113,6 @@ def forward(network: Network, x: np.ndarray) -> np.ndarray:
     return X[0] if single else X
 
 
-def reflection_block(v: np.ndarray) -> Network:
-    """Two-layer fragment reflecting points on the negative side of the
-    hyperplane {x . v = 0} and passing the rest through unchanged."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ConstructionError("reflection hyperplane normal is zero")
-    d = v.shape[0]
-    vhat = v / norm
-    W1 = np.zeros((d + 2, d))
-    W1[0] = vhat
-    W1[1] = vhat
-    W1[2:] = np.eye(d)
-    b1 = np.zeros(d + 2)
-    # the hyperplane units' offset -p at p = 0, which network_to_json prints as -0.0
-    b1[:2] = -0.0
-    acts1 = (ACT_RELU, ACT_NEG_RELU) + (ACT_IDENTITY,) * d
-    W2 = np.zeros((d, d + 2))
-    W2[:, 1] = 2.0 * vhat
-    W2[:, 2:] = np.eye(d)
-    layers = (
-        Layer(W1, b1, acts1, tag=TAG_REFLECTION),
-        Layer(W2, np.zeros(d), (ACT_IDENTITY,) * d, tag=TAG_REFLECTION),
-    )
-    return Network(layers=layers, meta={"kind": "reflection"})
-
-
 def translation_block(basis: lat.OrientedBasis, level: int, M: int) -> Network:
     """Three-layer fragment subtracting the level-scale lattice shift: map to
     scaled cell coordinates, drop the integer part with the period-2 sawtooth,
@@ -156,66 +130,54 @@ def translation_block(basis: lat.OrientedBasis, level: int, M: int) -> Network:
     return Network(layers=layers, meta={"kind": "translation", "level": level, "M": M})
 
 
-def _tree_stage(sizes: list[int], combine: str) -> tuple[Layer, Layer, list[int]]:
-    """One pairwise-combine stage over concatenated per-group unit blocks.
-
-    Returns the two layers and the new per-group sizes. Units without a
-    partner are carried through with identity weights.
-    """
-    total_in = sum(sizes)
-    rows_a = []  # (weights over inputs, act)
-    combine_sign = 1.0 if combine == "max" else -1.0
-    plan_b = []  # per output unit of layer B: list of (a_index, coef)
-    offset = 0
-    new_sizes = []
-    for sz in sizes:
-        pairs, leftover = divmod(sz, 2)
-        for q in range(pairs):
-            i, j = offset + 2 * q, offset + 2 * q + 1
-            s_row = np.zeros(total_in)
-            s_row[i] = 1.0
-            s_row[j] = 1.0
-            d_row = np.zeros(total_in)
-            d_row[i] = 1.0
-            d_row[j] = -1.0
-            base = len(rows_a)
-            rows_a.append((s_row, ACT_IDENTITY))
-            rows_a.append((d_row, ACT_RELU))
-            rows_a.append((d_row, ACT_NEG_RELU))
-            plan_b.append(
-                [(base, 0.5), (base + 1, 0.5 * combine_sign), (base + 2, 0.5 * combine_sign)]
-            )
-        if leftover:
-            carry_row = np.zeros(total_in)
-            carry_row[offset + 2 * pairs] = 1.0
-            base = len(rows_a)
-            rows_a.append((carry_row, ACT_IDENTITY))
-            plan_b.append([(base, 1.0)])
-        new_sizes.append(pairs + leftover)
-        offset += sz
-    Wa = np.stack([r for r, _ in rows_a])
-    acts_a = tuple(a for _, a in rows_a)
-    Wb = np.zeros((len(plan_b), len(rows_a)))
-    for out_i, terms in enumerate(plan_b):
-        for src, coef in terms:
-            Wb[out_i, src] = coef
-    la = Layer(Wa, np.zeros(Wa.shape[0]), acts_a, tag=TAG_MAXMIN)
-    lb = Layer(Wb, np.zeros(Wb.shape[0]), (ACT_IDENTITY,) * Wb.shape[0], tag=TAG_MAXMIN)
-    return la, lb, new_sizes
+def _max_min(
+    dim: int, pairs: list[tuple[int, int]], keep: tuple[str, ...], tag: str
+) -> list[Layer]:
+    """The two-layer max/min gadget on a dim-vector x. Each pair (i, k) takes
+    the units x_i + x_k, relu(x_i - x_k) and neg_relu(x_i - x_k); every input
+    in no pair is carried by one identity unit. The output holds
+    max(x_i, x_k) at i, min(x_i, x_k) at k and the carried inputs in place,
+    less the ends of each pair that keep does not name ("max", "min")."""
+    free = sorted(set(range(dim)).difference(*pairs))
+    eye = np.eye(dim)
+    i, k = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    # per pair the rows e_i + e_k, e_i - e_k, e_i - e_k
+    units = (eye[i, None] + [[1.0], [-1.0], [-1.0]] * eye[k, None]).reshape(-1, dim)
+    Wa = np.concatenate([units, eye[free]])
+    # max and min are (s +- (relu(d) + neg_relu(d))) / 2, so the second layer
+    # is the first's transpose with the pair units halved
+    Wb = Wa.T.copy()
+    Wb[:, : len(units)] *= 0.5
+    rows = np.ones(dim, dtype=bool)
+    rows[i] = "max" in keep
+    rows[k] = "min" in keep
+    out = int(rows.sum())
+    acts = (ACT_IDENTITY, ACT_RELU, ACT_NEG_RELU) * len(i) + (ACT_IDENTITY,) * len(free)
+    return [
+        Layer(Wa, np.zeros(len(Wa)), acts, tag=tag),
+        Layer(Wb[rows], np.zeros(out), (ACT_IDENTITY,) * out, tag=tag),
+    ]
 
 
 def _tree_layers(sizes: list[int], combine: str) -> list[Layer]:
+    """Pairwise combine stages over concatenated per-group unit blocks until
+    every group is one unit; a unit without a partner is carried."""
     layers = []
-    cur = list(sizes)
-    while max(cur) > 1:
-        la, lb, cur = _tree_stage(cur, combine)
-        layers.extend([la, lb])
+    while max(sizes) > 1:
+        starts = np.cumsum(sizes) - sizes
+        pairs = [
+            (a + 2 * q, a + 2 * q + 1)
+            for a, sz in zip(starts.tolist(), sizes)
+            for q in range(sz // 2)
+        ]
+        layers += _max_min(sum(sizes), pairs, (combine,), TAG_MAXMIN)
+        sizes = [(sz + 1) // 2 for sz in sizes]
     return layers
 
 
 def base_depth(schedule: fold.FoldingSchedule, group_sizes: list[int]) -> int:
-    """Layer count of the base (unextended) network: two per reflection, one
-    piece stage, and two per max/min tree stage."""
+    """Layer count of the base (unextended) network: two per compare-exchange,
+    one piece stage, and two per max/min tree stage."""
     s = len(schedule)
     gmax = max(group_sizes)
     g = len(group_sizes)
@@ -228,21 +190,29 @@ def synthesize(
     f: bnd.BoundaryFunction,
     M: int = 0,
 ) -> Network:
-    """Build the full network: M translation blocks, the reflection blocks in
-    schedule order, the surviving-piece affine stage, and per-group max trees
-    feeding a min tree. For M >= 1 the input is the full n-vector and the
-    first folded-space layer absorbs the projection that drops the first
-    coordinate; for M = 0 the input is the projected (n-1)-vector."""
+    """Build the full network: M translation blocks, then on the fold-first
+    coordinates c = y~ Gt^T of `folding.build_folded_boundary` one
+    compare-exchange per schedule step (c_j <- max, c_k <- min), the
+    surviving-piece affine stage, and per-group max trees feeding a min tree.
+    In c step (j, k) is the reflection across the bisector of b_j and b_k.
+    The first of these layers absorbs the map to c: for M >= 1 the input is
+    the full n-vector, for M = 0 the projected (n-1)-vector."""
     if M < 0:
         raise DomainError(f"M must be >= 0, got {M}")
+    # decode's rule: where the spacing of 2^M exceeds the tie band, the
+    # translation blocks reduce to rounding noise (M >= 29)
+    if math.ulp(2.0 ** min(M, 1023)) > bnd.DECODE_TOL:
+        raise DomainError(
+            f"M = {M} is too large: the spacing of 2^M exceeds the decode "
+            f"tolerance {bnd.DECODE_TOL}"
+        )
     if f.basis.n != basis.n:
         raise ConstructionError(
             f"boundary function rank {f.basis.n} does not match basis rank {basis.n}"
         )
     n = basis.n
-    d = n - 1
-    memberships = fold.folded_structure(f, schedule)
-    sizes = np.unique(memberships[:, 0], return_counts=True)[1].tolist()
+    ff = fold.build_folded_boundary(f, schedule)
+    sizes = np.unique(ff.group, return_counts=True)[1].tolist()
 
     layers: list[Layer] = []
     for level in range(1, M + 1):
@@ -250,23 +220,14 @@ def synthesize(
 
     base: list[Layer] = []
     for step in schedule.steps:
-        base.extend(reflection_block(step.v).layers)
-    plane_rows = memberships[:, 1]
-    base.append(
-        Layer(
-            f.A[plane_rows],
-            f.c[plane_rows],
-            (ACT_IDENTITY,) * len(memberships),
-            tag=TAG_PIECES,
-        )
-    )
-    base.extend(_tree_layers(sizes, "max"))
-    base.extend(_tree_layers([len(sizes)], "min"))
-
-    if M >= 1:
-        first = base[0]
-        W = np.hstack([np.zeros((first.out_dim, 1)), first.W])
-        base[0] = Layer(W, first.b, first.acts, tag=first.tag)
+        base += _max_min(n - 1, [(step.j - 2, step.k - 2)], ("max", "min"), TAG_REFLECTION)
+    base.append(Layer(ff.W.T, ff.bias, (ACT_IDENTITY,) * len(ff.bias), tag=TAG_PIECES))
+    base += _tree_layers(sizes, "max")
+    base += _tree_layers([len(sizes)], "min")
+    # b_j . e_1 = 0 for j >= 2, so c = y G[1:]^T
+    first = base[0]
+    to_c = f.basis.G[1:, 1 if M == 0 else 0 :]
+    base[0] = Layer(first.W @ to_c, first.b, first.acts, tag=first.tag)
 
     expected = 3 * M + base_depth(schedule, sizes)
     if len(layers) + len(base) != expected:
@@ -283,7 +244,7 @@ def synthesize(
         "provenance": {
             "translation_blocks": M,
             "reflection_blocks": len(schedule),
-            "pieces": len(memberships),
+            "pieces": len(ff.group),
             "groups": len(sizes),
             "family": basis.fid.family if basis.fid else "custom",
             "n": n,

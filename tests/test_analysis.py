@@ -306,8 +306,6 @@ def test_mc_estimates_two_rows_at_dn_second_11():
 
 def test_separation_report_example():
     report = ana.separation_report(4, 10, 2, 4)
-    assert report["copies"] == 2**30
-    assert isinstance(report["copies"], int)
     assert report["required_M"] == pytest.approx(8.0)
     assert report["margin"] == pytest.approx(2.0)
     assert report["condition_satisfied"] is True

@@ -119,6 +119,21 @@ def test_synth_depth_accounting(capsys):
     assert len(payload["layers"]) == 12
 
 
+@pytest.mark.parametrize("M,code", [(28, 0), (29, 2), (1100, 2)])
+def test_synth_rejects_m_past_decode_tolerance(capsys, M, code):
+    # decode's rule: from M = 29 the spacing of 2^M exceeds DECODE_TOL, and
+    # M = 1100 would overflow the float scale of the translation blocks
+    got, out, err = run(capsys, ["synth", "--family", "an", "--n", "3", "--M", str(M)])
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["meta"]["depth"] == 3 * M + 9
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith(f"error: M = {M} is too large")
+        assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # eval and decode
 
@@ -570,6 +585,23 @@ def test_bounds_condition_failure_exits_1(capsys):
         ["bounds", "--family", "an", "--n", "4", "--M", "10", "--L", "2", "--w", "64"],
     )
     assert code == 1
+
+
+def test_bounds_large_competitor_depth(capsys):
+    # the piece budget 2^1400 is past the largest double; the rows carry
+    # its log2 only
+    code, out, err = run(
+        capsys,
+        ["bounds", "--family", "an", "--n", "8", "--M", "10", "--L", "100", "--w", "4"],
+    )
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 10 and lines[0] == "key,value"
+    rows = dict(line.split(",", 1) for line in lines[1:])
+    assert rows["separation_piece_budget_log2"] == "1400.0"
+    assert rows["separation_required_M"] == "208.0"
+    assert rows["separation_margin"] == "-198.0"
 
 
 @pytest.mark.parametrize(

@@ -57,16 +57,26 @@ def fold(basis, f, sched, Yt):
     return fo.sort_fold(fo.build_folded_boundary(f, sched), Yt) @ basis.Ginv[1:, 1:].T
 
 
-def on_folded_side(sched, Yt):
+def normal(basis, step):
+    """The step's hyperplane normal b_j - b_k on coordinates 2..n."""
+    return basis.G[step.j - 1, 1:] - basis.G[step.k - 1, 1:]
+
+
+def on_folded_side(basis, sched, Yt):
     """Mask: on the non-negative side of every schedule hyperplane, up to
     GEOM_TOL."""
-    return np.all([Yt @ s.v >= -lat.GEOM_TOL for s in sched.steps], axis=0)
+    return np.all([Yt @ normal(basis, s) >= -lat.GEOM_TOL for s in sched.steps], axis=0)
 
 
-def reflection_layers(basis, f, sched):
-    """The reflection layers of the M = 0 network, the paper's ReLU fold."""
+def reflection_image(basis, f, sched, Yt):
+    """c of each point after the compare-exchange layers of the M = 0
+    network, the paper's ReLU fold; with no step the piece layer absorbs the
+    map to c, and c is y~ Gt^T."""
     layers = net.synthesize(basis, sched, f, M=0).layers
-    return net.Network(layers=tuple(l for l in layers if l.tag == net.TAG_REFLECTION), meta={})
+    stage = tuple(l for l in layers if l.tag == net.TAG_REFLECTION)
+    if not stage:
+        return Yt @ basis.G[1:, 1:].T
+    return net.forward(net.Network(layers=stage, meta={}), Yt)
 
 
 @pytest.mark.parametrize(
@@ -96,11 +106,18 @@ def test_schedule_count_binomials():
 
 
 def test_schedule_normals_are_basis_differences():
+    # the normal b_j - b_k has first coordinate exactly zero, and the
+    # reflection across it swaps c_j and c_k
     _, basis, _, sched = make("en", 6)
+    Yt = lat.sample_domain(basis, seed=0, count=500)
+    C = Yt @ basis.G[1:, 1:].T
     for step in sched.steps:
-        full = basis.G[step.j - 1] - basis.G[step.k - 1]
-        assert full[0] == 0.0
-        assert np.array_equal(step.v, full[1:])
+        assert basis.G[step.j - 1, 0] - basis.G[step.k - 1, 0] == 0.0
+        v = normal(basis, step)
+        mirrored = Yt - np.outer(2 * (Yt @ v) / (v @ v), v)
+        swapped = C.copy()
+        swapped[:, [step.j - 2, step.k - 2]] = C[:, [step.k - 2, step.j - 2]]
+        np.testing.assert_allclose(mirrored @ basis.G[1:, 1:].T, swapped, rtol=0, atol=1e-12)
 
 
 def test_apply_fold_identity_on_folded_points():
@@ -109,7 +126,7 @@ def test_apply_fold_identity_on_folded_points():
     Yt = lat.sample_domain(basis, seed=0, count=2_000)
     folded = fold(basis, f, sched, Yt)
     np.testing.assert_allclose(fold(basis, f, sched, folded), folded, rtol=0, atol=1e-12)
-    already = Yt[on_folded_side(sched, Yt)]
+    already = Yt[on_folded_side(basis, sched, Yt)]
     assert 0 < len(already) < len(Yt)
     np.testing.assert_allclose(fold(basis, f, sched, already), already, rtol=0, atol=1e-12)
 
@@ -117,9 +134,8 @@ def test_apply_fold_identity_on_folded_points():
 def test_apply_fold_single_reflection_same_orbit():
     _, basis, f, sched = make("an", 4)
     Yt = lat.sample_domain(basis, seed=1, count=500)
-    step = sched.steps[2]
-    dots = Yt @ step.v
-    mirrored = Yt - np.outer(2 * dots / (step.v @ step.v), step.v)
+    v = normal(basis, sched.steps[2])
+    mirrored = Yt - np.outer(2 * (Yt @ v) / (v @ v), v)
     a = fold(basis, f, sched, Yt)
     b = fold(basis, f, sched, mirrored)
     assert np.abs(a - b).max() <= 1e-12
@@ -151,9 +167,10 @@ def test_single_pass_reaches_fixpoint():
         Yt = lat.sample_domain(basis, seed=3, count=1_000)
         out = Yt.copy()
         for step in sched.steps:
-            dot = out @ step.v
+            v = normal(basis, step)
+            dot = out @ v
             mask = dot < 0.0
-            out[mask] -= np.outer(2 * dot[mask] / (step.v @ step.v), step.v)
+            out[mask] -= np.outer(2 * dot[mask] / (v @ v), v)
         np.testing.assert_allclose(out, fold(basis, f, sched, Yt), rtol=0, atol=1e-12)
 
 
@@ -168,7 +185,7 @@ def test_apply_fold_scalar_and_empty_schedule():
     yt = lat.sample_domain(basis4, seed=4, count=1)[0]
     out = fold(basis4, f4, sched4, yt)
     assert out.shape == (1, yt.size)
-    assert on_folded_side(sched4, out).all()
+    assert on_folded_side(basis4, sched4, out).all()
 
 
 @pytest.mark.parametrize(
@@ -301,14 +318,15 @@ def test_fold_first_single_point_and_empty_input(family, n):
 
 @pytest.mark.parametrize("family,n", FOLD_FIRST_INSTANCES)
 def test_sort_is_the_fold(family, n):
-    # the sorted c, mapped back through Gt^-T, is the image under the
-    # network's reflection layers
+    # the sorted c is the image under the network's compare-exchange layers
     _, basis, f, sched = make(family, n)
     Yt = agreement_points(basis, f)
+    ref = reflection_image(basis, f, sched, Yt)
+    C = fo.sort_fold(fo.build_folded_boundary(f, sched), Yt)
+    np.testing.assert_allclose(C, ref, rtol=0, atol=1e-12)
+    # mapped back through Gt^-T, it lies on the folded side
     back = fold(basis, f, sched, Yt)
-    ref = net.forward(reflection_layers(basis, f, sched), Yt)
-    np.testing.assert_allclose(back, ref, rtol=0, atol=1e-12)
-    assert on_folded_side(sched, back).all()
+    assert on_folded_side(basis, sched, back).all()
     # reflections through the origin preserve the norm
     np.testing.assert_allclose(
         (back**2).sum(axis=1), (Yt**2).sum(axis=1), rtol=1e-12, atol=1e-12
@@ -344,9 +362,7 @@ def test_fold_first_blocks_are_schedule_components(family, n, blocks):
 )
 def test_fold_first_rejects_steps_that_are_not_a_sort(family, n, pairs):
     _, basis, f, _ = make(family, n)
-    steps = tuple(
-        fo.FoldStep(j=j, k=k, v=basis.G[j - 1, 1:] - basis.G[k - 1, 1:]) for j, k in pairs
-    )
+    steps = tuple(fo.FoldStep(j=j, k=k) for j, k in pairs)
     with pytest.raises(ConstructionError):
         fo.build_folded_boundary(f, fo.FoldingSchedule(steps=steps))
 
@@ -392,15 +408,15 @@ def test_folded_count_report_en():
 
 
 def test_sample_folded_domain_two_routes():
-    # the sampler's sort images equal the reflection layers' images of the
-    # same seeded samples
+    # the sampler's sort images, in c, equal the compare-exchange layers'
+    # images of the same seeded samples
     _, basis, f, sched = make("an", 4)
     ff = fo.build_folded_boundary(f, sched)
     pts = oracles.sample_folded_domain(basis, ff, seed=5, count=5_000)
     assert pts.shape == (5_000, 3)
-    ref = net.forward(reflection_layers(basis, f, sched), lat.sample_domain(basis, seed=5, count=5_000))
-    np.testing.assert_allclose(pts, ref, rtol=0, atol=1e-12)
-    assert on_folded_side(sched, pts).all()
+    ref = reflection_image(basis, f, sched, lat.sample_domain(basis, seed=5, count=5_000))
+    np.testing.assert_allclose(pts @ ff.Gt.T, ref, rtol=0, atol=1e-12)
+    assert on_folded_side(basis, sched, pts).all()
     assert oracles.domain_contains(basis, pts).all()
 
 

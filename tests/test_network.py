@@ -1,5 +1,6 @@
-"""Network synthesis checks: activation semantics, reflection and translation
-blocks, max/min trees, full synthesis equivalence, and serialization."""
+"""Network synthesis checks: activation semantics, compare-exchange and
+translation blocks, max/min trees, full synthesis equivalence, and
+serialization."""
 from __future__ import annotations
 
 import json
@@ -69,32 +70,42 @@ def test_forward_empty_and_identity():
         net.forward(ident, np.zeros(3))
 
 
-def test_reflection_block_sides():
-    v = np.array([1.0, 1.0])
-    block = net.reflection_block(v)
+def compare_exchange(d, j, k):
+    """The compare-exchange of synthesize on a d-vector: max at j, min at k."""
+    return net.Network(
+        layers=tuple(net._max_min(d, [(j, k)], ("max", "min"), net.TAG_REFLECTION)), meta={}
+    )
+
+
+@pytest.mark.parametrize("j,k", [(0, 1), (1, 3), (3, 0)])
+def test_compare_exchange_orders_the_pair(j, k):
+    block = compare_exchange(5, j, k)
     assert len(block.layers) == 2
-    on_plane = np.array([1.0, -1.0])
-    assert np.abs(net.forward(block, on_plane) - on_plane).max() <= 1e-15
-    positive = np.array([2.0, 1.0])
-    assert np.array_equal(net.forward(block, positive), positive)
-    negative = np.array([-2.0, 1.0])
-    vhat = v / np.linalg.norm(v)
-    expected = negative - 2 * (negative @ vhat) * vhat
-    assert np.abs(net.forward(block, negative) - expected).max() <= 1e-12
+    assert [l.out_dim for l in block.layers] == [6, 5]
+    X = np.random.default_rng(j + k).normal(size=(2_000, 5))
+    out = net.forward(block, X)
+    assert np.abs(out[:, j] - np.maximum(X[:, j], X[:, k])).max() <= 1e-12
+    assert np.abs(out[:, k] - np.minimum(X[:, j], X[:, k])).max() <= 1e-12
+    carried = [i for i in range(5) if i not in (j, k)]
+    assert np.array_equal(out[:, carried], X[:, carried])
 
 
-def test_reflection_block_idempotent_image():
-    block = net.reflection_block(np.array([0.3, -1.2, 0.5]))
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(500, 3))
+def test_compare_exchange_idempotent():
+    block = compare_exchange(3, 0, 2)
+    X = np.random.default_rng(0).normal(size=(500, 3))
     once = net.forward(block, X)
-    twice = net.forward(block, once)
-    assert np.abs(once - twice).max() <= 1e-12
+    assert (once[:, 0] >= once[:, 2]).all()
+    assert np.abs(net.forward(block, once) - once).max() <= 1e-12
 
 
-def test_reflection_block_rejects_zero_normal():
+@pytest.mark.parametrize("pairs", [[(1, 2)], [(3, 2)], [(2, 4), (3, 4)]])
+def test_synthesize_rejects_steps_that_are_not_a_sort(pairs):
+    # b_1 leaves the projected domain; j > k would sort ascending; block
+    # {2,3,4} lacks (2,3)
+    basis, f, _ = make("an", 4)
+    sched = fo.FoldingSchedule(steps=tuple(fo.FoldStep(j=j, k=k) for j, k in pairs))
     with pytest.raises(ConstructionError):
-        net.reflection_block(np.zeros(3))
+        net.synthesize(basis, sched, f, M=0)
 
 
 def test_translation_block_shape_and_levels():
@@ -231,6 +242,21 @@ def test_synthesized_equals_boundary_m0(family, n):
     out = net.forward(nw, Yt)[:, 0]
     ref, _ = bd.eval_boundary_batch(f, Yt)
     assert np.abs(out - ref).max() <= 1e-9
+
+
+@pytest.mark.parametrize("M", [0, 1])
+@pytest.mark.parametrize("family,n", [("an", 5), ("dn-const-a", 5), ("dn-second", 5), ("en", 7)])
+def test_synthesize_full_and_chamber_f_agree(family, n, M):
+    # both f have the same surviving groups as sets of planes, so the
+    # networks differ at most in unit order
+    basis, f, sched = make(family, n)
+    chamber = bd.build_boundary(basis, fo.chamber_corners(basis, sched))
+    a = net.synthesize(basis, sched, f, M=M)
+    b = net.synthesize(basis, sched, chamber, M=M)
+    assert a.meta == b.meta
+    Y = lat.sample_parallelotope(basis, seed=17, count=2_000)
+    X = Y if M else Y[:, 1:]
+    assert np.abs(net.forward(a, X) - net.forward(b, X)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("M", [1, 2])
