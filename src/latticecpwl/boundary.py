@@ -209,15 +209,19 @@ def _kissing_formula(fid: FamilyId | None) -> int | None:
 
 
 def _min_max(
-    X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray,
+    ids: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """The min-max kernel of both evaluators: per row of X, the min over groups
     of the max over their members' heights (X W + bias)[column], members in
-    ascending `group` order; returns (values, first argmin-of-argmax member).
+    ascending `group` order. Returns the values alone; with ids, which only
+    `eval_boundary_batch` asks for, (values, first argmin-of-argmax member).
     A block of EVAL_ROWS rows goes plane-major, and the groups, largest first,
     take their max one rank at a time, rank r over the prefix larger than r.
-    The last block takes the tail too, so no block has one row unless X does:
-    numpy sends a one-row product to gemv, which can differ from gemm."""
+    The values are the min over these maxima in rank order, so only the ids
+    map them back to group order. The last block takes the tail too, so no
+    block has one row unless X does: numpy sends a one-row product to gemv,
+    which can differ from gemm."""
     _, starts, sizes = np.unique(group, return_index=True, return_counts=True)
     # each group's columns by rank, padded by repeating the group's last one
     table = column[starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
@@ -232,12 +236,15 @@ def _min_max(
         gmax = Ht[ranked[:, 0]]
         for r, k in enumerate(larger, 1):
             np.maximum(gmax[:k], Ht[ranked[:k, r]], out=gmax[:k])
+        if not ids:
+            gmax.min(axis=0, out=vals[lo:hi])
+            continue
         gmax = gmax[back]
         g = gmax.argmin(axis=0)
         rows = np.arange(hi - lo)
         vals[lo:hi] = gmax[g, rows]
         act[lo:hi] = starts[g] + Ht[table[g], rows[:, None]].argmax(axis=1)
-    return vals, act
+    return (vals, act) if ids else vals
 
 
 def eval_boundary_batch(
@@ -247,8 +254,11 @@ def eval_boundary_batch(
     `folding.eval_folded_batch`): (values, active membership ids) from
     `_min_max` over the per-plane heights Yt A^T + c. Its first-minimum/
     first-maximum rule realizes the smallest-id tie-break because memberships
-    are laid out in (group, plane) order with plane ids ascending."""
-    return _min_max(np.atleast_2d(np.asarray(Yt, dtype=float)), f.A.T, f.c, *f.memberships.T)
+    are laid out in (group, plane) order with plane ids ascending. This is the
+    one caller that gets the ids; the dense side of
+    `folding.verify_fold_invariance` takes the values alone."""
+    Yt = np.atleast_2d(np.asarray(Yt, dtype=float))
+    return _min_max(Yt, f.A.T, f.c, *f.memberships.T, ids=True)
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,10 @@ def verify_fold_invariance(
 ) -> float:
     """Max |f(y~) - f(F(y~))| over exact D(B) samples from P(B)'s lower facets,
     with B = f.basis. The two sides take independent routes: f(y~) is dense,
-    the min-max over every membership of f at y~; f(F(y~)) is fold-first, the
-    sort F of c = y~ Gt^T and then the min-max over the f built from the
-    chamber corners alone.
+    the min-max over every membership of f at y~ (values alone, as
+    `eval_boundary_batch` computes them without its active ids); f(F(y~)) is
+    fold-first, the sort F of c = y~ Gt^T and then the min-max over the f
+    built from the chamber corners alone.
 
     The count samples are one sample_domain draw from seed, so seed and count
     alone fix the samples and the result.
@@ -84,8 +85,8 @@ def verify_fold_invariance(
     chamber = bnd.build_boundary(f.basis, chamber_corners(f.basis, schedule))
     ff = build_folded_boundary(chamber, schedule)
     Yt = lat.sample_domain(f.basis, seed=seed, count=count)
-    a, _ = bnd.eval_boundary_batch(f, Yt)
-    return float(np.abs(a - eval_folded_batch(ff, Yt)).max())
+    dense = bnd._min_max(Yt, f.A.T, f.c, *f.memberships.T)
+    return float(np.abs(dense - eval_folded_batch(ff, Yt)).max())
 
 
 def _swap_blocks(basis: lat.OrientedBasis, schedule: FoldingSchedule) -> list[list[int]]:
@@ -209,6 +210,6 @@ def sort_fold(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
 
 
 def eval_folded_batch(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
-    """f at each point, fold-first: sort, then `bnd._min_max` over the
-    surviving groups and their pieces."""
-    return bnd._min_max(sort_fold(ff, Yt), ff.W, ff.bias, ff.group, np.arange(len(ff.group)))[0]
+    """f at each point, fold-first: sort, then `bnd._min_max`, values alone,
+    over the surviving groups and their pieces."""
+    return bnd._min_max(sort_fold(ff, Yt), ff.W, ff.bias, ff.group, np.arange(len(ff.group)))

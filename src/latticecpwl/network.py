@@ -5,13 +5,15 @@ extended box into the base cell, compare-exchange units that sort the
 fold-first coordinates c (the fold onto the non-negative side of the
 schedule hyperplanes), a parallel affine stage for the surviving pieces,
 and max/min trees that combine them. Evaluation is
-exact layer-by-layer arithmetic; nothing is trained.
+exact layer-by-layer arithmetic; nothing is trained. Each layer finds the
+columns of each activation once, when it is built, and `forward` applies
+them in place on the layer's affine output.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,14 +34,36 @@ TAG_PIECES = "pieces"
 TAG_MAXMIN = "maxmin"
 
 
+def _columns(acts: tuple[str, ...], kind: str) -> slice | np.ndarray | None:
+    """The units of acts that apply kind: None if none does, a slice if they
+    are evenly spaced (every synthesized layer's are; a strided view reads
+    and writes faster than an index gather), else their indices."""
+    idx = np.flatnonzero(np.array(acts) == kind)
+    if not idx.size:
+        return None
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    if (np.diff(idx) == step).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
+
+
 @dataclass(frozen=True)
 class Layer:
-    """One affine map plus a per-unit activation. W has shape (out, in)."""
+    """One affine map plus a per-unit activation. W has shape (out, in).
+
+    Construction also records the plan `forward` follows: the relu, neg_relu
+    and sawtooth2 columns, and whether the bias is all zero, so that its add
+    can be skipped (x + 0.0 differs from x only at x = -0.0, which compares
+    equal). Sub-networks rebuilt from the same layers keep the plan."""
 
     W: np.ndarray
     b: np.ndarray
     acts: tuple[str, ...]
     tag: str = ""
+    relu: slice | np.ndarray | None = field(init=False, repr=False, compare=False)
+    neg_relu: slice | np.ndarray | None = field(init=False, repr=False, compare=False)
+    sawtooth: slice | np.ndarray | None = field(init=False, repr=False, compare=False)
+    zero_bias: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
@@ -59,6 +83,10 @@ class Layer:
         b.setflags(write=False)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "relu", _columns(self.acts, ACT_RELU))
+        object.__setattr__(self, "neg_relu", _columns(self.acts, ACT_NEG_RELU))
+        object.__setattr__(self, "sawtooth", _columns(self.acts, ACT_SAWTOOTH2))
+        object.__setattr__(self, "zero_bias", not b.any())
 
     @property
     def in_dim(self) -> int:
@@ -82,24 +110,10 @@ class Network:
                 )
 
 
-def _apply_acts(acts: tuple[str, ...], Z: np.ndarray) -> np.ndarray:
-    out = Z.copy()
-    kinds = np.array(acts)
-    for kind in (ACT_RELU, ACT_NEG_RELU, ACT_SAWTOOTH2):
-        idx = np.flatnonzero(kinds == kind)
-        if idx.size == 0:
-            continue
-        if kind == ACT_RELU:
-            out[:, idx] = np.maximum(Z[:, idx], 0.0)
-        elif kind == ACT_NEG_RELU:
-            out[:, idx] = np.maximum(-Z[:, idx], 0.0)
-        else:
-            out[:, idx] = Z[:, idx] - np.floor(Z[:, idx])
-    return out
-
-
 def forward(network: Network, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network; empty networks act as the identity."""
+    """Evaluate the network; empty networks act as the identity. Each layer's
+    X W^T is a new array, so its bias add (skipped when all zero) and its
+    activations, on the columns the layer recorded, run in place on it."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     X = arr.reshape(1, -1) if single else arr
@@ -109,7 +123,16 @@ def forward(network: Network, x: np.ndarray) -> np.ndarray:
             f"dimension {network.layers[0].in_dim}"
         )
     for layer in network.layers:
-        X = _apply_acts(layer.acts, X @ layer.W.T + layer.b)
+        X = X @ layer.W.T
+        if not layer.zero_bias:
+            X += layer.b
+        if layer.relu is not None:
+            X[:, layer.relu] = np.maximum(X[:, layer.relu], 0.0)
+        if layer.neg_relu is not None:
+            X[:, layer.neg_relu] = np.maximum(-X[:, layer.neg_relu], 0.0)
+        if layer.sawtooth is not None:
+            Z = X[:, layer.sawtooth]
+            X[:, layer.sawtooth] = Z - np.floor(Z)
     return X[0] if single else X
 
 

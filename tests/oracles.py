@@ -6,7 +6,8 @@ simplex family at any rank, by the sorted nearest-corner decoder,
 membership and the bounding box of the projected domain D(B), a Lipschitz
 constant of f, sampled folded-domain counts with the stated
 folded constants beside them, the reduction of extended-box points
-into the base cell, and the line-by-line point-file reader. None of it runs
+into the base cell, the layer-by-layer reference forward of a network, and
+the line-by-line point-file reader. None of it runs
 in a command; each is an independent
 route that the tests compare the program against.
 """
@@ -21,6 +22,7 @@ from latticecpwl import analysis as ana
 from latticecpwl import boundary as bnd
 from latticecpwl import folding as fld
 from latticecpwl import lattices as lat
+from latticecpwl import network as net
 from latticecpwl.errors import (
     ConstructionError,
     DomainError,
@@ -295,6 +297,29 @@ def reduce_to_parallelotope(
     if single:
         return y[0], z[0]
     return y, z
+
+
+def reference_forward(network: net.Network, x: np.ndarray) -> np.ndarray:
+    """`network.forward` by its original route: per layer X W^T + b, then a
+    copy of it on which each activation kind is applied through the indices
+    of its units, found from the layer's acts on every call."""
+    arr = np.asarray(x, dtype=float)
+    X = np.atleast_2d(arr)
+    for layer in network.layers:
+        Z = X @ layer.W.T + layer.b
+        X = Z.copy()
+        kinds = np.array(layer.acts)
+        for kind in (net.ACT_RELU, net.ACT_NEG_RELU, net.ACT_SAWTOOTH2):
+            idx = np.flatnonzero(kinds == kind)
+            if idx.size == 0:
+                continue
+            if kind == net.ACT_RELU:
+                X[:, idx] = np.maximum(Z[:, idx], 0.0)
+            elif kind == net.ACT_NEG_RELU:
+                X[:, idx] = np.maximum(-Z[:, idx], 0.0)
+            else:
+                X[:, idx] = Z[:, idx] - np.floor(Z[:, idx])
+    return X[0] if arr.ndim == 1 else X
 
 
 def read_points_by_line(path: str, expect_dim: int) -> np.ndarray:

@@ -258,6 +258,24 @@ def test_eval_single_point_and_empty_input(family, n):
     assert act.dtype == np.int64
 
 
+@pytest.mark.parametrize("family,n", [
+    (family, n)
+    for family in lat.FAMILIES
+    for n in range(lat.FAMILY_RANGES[family][0], 9)
+])
+def test_min_max_values_alone_equal_eval_values(family, n):
+    """The values-only kernel, which the fold check's dense side and
+    fold-first serving call, gives eval_boundary_batch's values bit for bit.
+    Row counts around EVAL_ROWS put the tail-block rule through both modes."""
+    basis = lat.build_basis(FamilyId(family, n))
+    f = bd.build_boundary(basis)
+    rows = bd.EVAL_ROWS
+    Yt = lat.sample_domain(basis, seed=5, count=2 * rows + 1)
+    for count in (1, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1):
+        vals = bd._min_max(Yt[:count], f.A.T, f.c, *f.memberships.T)
+        assert vals.tobytes() == bd.eval_boundary_batch(f, Yt[:count])[0].tobytes()
+
+
 def test_eval_working_set_is_bounded():
     """The kernel's memory does not grow with the batch: 200k points at en 8
     (1,205 memberships) stay far below one (points x memberships) gather."""

@@ -57,6 +57,41 @@ def test_layer_validation():
         )
 
 
+def test_forward_plan_of_a_layer():
+    """A layer records its activation columns, as views where evenly
+    spaced, and whether its bias is all zero; forward follows the plan and
+    equals the reference forward, evenly spaced columns or not."""
+    acts = (net.ACT_RELU, net.ACT_RELU, net.ACT_IDENTITY, net.ACT_RELU,
+            net.ACT_SAWTOOTH2, net.ACT_NEG_RELU, net.ACT_SAWTOOTH2)
+    rng = np.random.default_rng(4)
+    layer = net.Layer(rng.normal(size=(7, 3)), rng.normal(size=7), acts)
+    assert np.array_equal(layer.relu, [0, 1, 3])
+    assert layer.sawtooth == slice(4, 7, 2)
+    assert layer.neg_relu == slice(5, 6, 1)
+    assert not layer.zero_bias
+    assert net.Layer(np.eye(2), np.array([-0.0, 0.0]), (net.ACT_IDENTITY,) * 2).zero_bias
+    nw = net.Network(layers=(layer,), meta={})
+    X = rng.normal(size=(50, 3))
+    assert np.array_equal(net.forward(nw, X), oracles.reference_forward(nw, X))
+
+
+@pytest.mark.parametrize("M", [0, 2])
+@pytest.mark.parametrize("family", lat.FAMILIES)
+def test_forward_equals_reference(family, M):
+    """The in-place forward equals the reference forward at n = 8 on a
+    batch, a 1-D point and a zero-row batch; for M = 2 the points fill the
+    2^M-extended box."""
+    basis, f, sched = make(family, 8)
+    nw = net.synthesize(basis, sched, f, M=M)
+    alpha = np.random.default_rng(21).random((2_000, 8))
+    alpha[:, 1:] *= 2.0**M
+    X = alpha @ basis.G if M else lat.sample_domain(basis, seed=21, count=2_000)
+    for x in (X, X[0], X[:0]):
+        got, ref = net.forward(nw, x), oracles.reference_forward(nw, x)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
 def test_forward_empty_and_identity():
     empty = net.Network(layers=(), meta={})
     x = np.array([1.0, -2.0])
