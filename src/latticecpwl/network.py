@@ -34,17 +34,10 @@ TAG_PIECES = "pieces"
 TAG_MAXMIN = "maxmin"
 
 
-def _columns(acts: tuple[str, ...], kind: str) -> slice | np.ndarray | None:
-    """The units of acts that apply kind: None if none does, a slice if they
-    are evenly spaced (every synthesized layer's are; a strided view reads
-    and writes faster than an index gather), else their indices."""
-    idx = np.flatnonzero(np.array(acts) == kind)
-    if not idx.size:
-        return None
-    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
-    if (np.diff(idx) == step).all():
-        return slice(int(idx[0]), int(idx[-1]) + 1, step)
-    return idx
+def _columns(acts: tuple[str, ...], kind: str) -> np.ndarray | None:
+    """The indices of the units of acts that apply kind, or None if none does."""
+    idx = [i for i, a in enumerate(acts) if a == kind]
+    return np.array(idx) if idx else None
 
 
 @dataclass(frozen=True)
@@ -60,9 +53,9 @@ class Layer:
     b: np.ndarray
     acts: tuple[str, ...]
     tag: str = ""
-    relu: slice | np.ndarray | None = field(init=False, repr=False, compare=False)
-    neg_relu: slice | np.ndarray | None = field(init=False, repr=False, compare=False)
-    sawtooth: slice | np.ndarray | None = field(init=False, repr=False, compare=False)
+    relu: np.ndarray | None = field(init=False, repr=False, compare=False)
+    neg_relu: np.ndarray | None = field(init=False, repr=False, compare=False)
+    sawtooth: np.ndarray | None = field(init=False, repr=False, compare=False)
     zero_bias: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
