@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattices as lat
-from .errors import ConstructionError, InternalCheckError
+from .errors import InternalCheckError
 from .lattices import FamilyId, OrientedBasis
 
 DECODE_TOL = 1e-7
@@ -70,27 +70,19 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
     With integer Gram data both are exact: the plane key stores the integer
     difference vector d and 2p = 2 z' gram d + d gram d.
 
-    Built in one array pass. The pairs are the entries equal to 2 of the
-    integer norm table q(x) + q(x') - 2 x gram x'^T, taken over blocks of C^1
-    rows of about 2^20 entries each, so no C^1 x C^0 table is ever held; read
-    row-major, they come corner by corner, x' ascending. Plane ids number the
-    distinct keys in first-occurrence order, found by a stable lexsort of the
-    key rows, so no key is packed into one integer at any n. Corners merge by
-    their sorted plane-id tuples, which also order the groups; a pair's
-    membership id is its group's start plus its plane's rank in the group.
-    Only the merge (per corner) and V (per plane) loop in Python.
+    Built in one array pass. Every family Gram has an even diagonal with
+    minimum 2, so the lattice is even with minimal norm 2, and the pairs are
+    the entries equal to 2 of the integer norm table
+    q(x) + q(x') - 2 x gram x'^T, taken over blocks of C^1 rows of about 2^20
+    entries each, so no C^1 x C^0 table is ever held; read row-major, they
+    come corner by corner, x' ascending. Plane ids number the distinct keys
+    in first-occurrence order, found by a stable lexsort of the key rows, so
+    no key is packed into one integer at any n. Corners merge by their sorted
+    plane-id tuples, which also order the groups; a pair's membership id is
+    its group's start plus its plane's rank in the group. Only the merge (per
+    corner) and V (per plane) loop in Python.
     """
-    if not basis.gram_is_integral:
-        raise ConstructionError("boundary construction needs an integer gram matrix")
-    n = basis.n
-    gram = basis.gram.astype(np.int64)
-    diag = np.diag(gram)
-    # an even diagonal spans an even lattice (norms >= 2); a diagonal 2 attains it
-    if (diag % 2).any() or diag.min() != 2:
-        raise ConstructionError(
-            f"boundary construction needs an even gram diagonal with minimum 2, "
-            f"got {diag.tolist()}"
-        )
+    gram = basis.gram
     if z is None:
         z = lat.enumerate_corners(basis).z
     c1, c0 = z[z[:, 0] == 1], z[z[:, 0] == 0]
@@ -143,16 +135,11 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
 
     plane_keys = tuple((tuple(k[:-1]), k[-1]) for k in keys.tolist())
     # one row per plane: a stacked D @ G can round differently in the last bit
-    V = np.array([row @ basis.G for row in keys[:, :-1].astype(float)]).reshape(-1, n)
+    V = np.array([row @ basis.G for row in keys[:, :-1].astype(float)])
     p = keys[:, -1] / 2.0
-    v1 = V[:, 0] if len(V) else np.empty(0)
-    if len(V) and np.abs(v1).min() <= lat.GEOM_TOL:
-        bad = int(np.abs(v1).argmin())
-        raise ConstructionError(
-            f"bisector normal {plane_keys[bad][0]} has zero first coordinate"
-        )
-    A = -V[:, 1:] / v1[:, None] if len(V) else np.empty((0, max(n - 1, 0)))
-    c = p / v1 if len(V) else np.empty(0)
+    v1 = V[:, 0]
+    A = -V[:, 1:] / v1[:, None]
+    c = p / v1
 
     f = BoundaryFunction(
         basis=basis,
@@ -179,14 +166,11 @@ def _check_boundary(f: BoundaryFunction) -> None:
     mid = (f.pair_x + f.pair_xp) @ basis.G / 2.0
     pair_plane = f.memberships[f.pair_memb, 1]
     resid = np.abs((mid * f.V[pair_plane]).sum(axis=1) - f.p[pair_plane])
-    if resid.size and resid.max() > 1e-9:
+    if resid.max() > 1e-9:
         raise InternalCheckError(f"bisector misses pair midpoint by {resid.max():.2e}")
-    if not len(f.memberships):
-        return
     group, plane = f.memberships.T
     sizes = np.bincount(group)
-    kiss = _kissing_formula(basis.fid)
-    if kiss is not None and sizes.max() >= kiss:
+    if sizes.max() >= _kissing_formula(basis.fid):
         raise InternalCheckError("group size reached the kissing number")
     X = np.array([zs[0] for zs in f.group_corner_z], dtype=float) @ basis.G
     heights = np.einsum("ij,ij->i", X[group, 1:], f.A[plane]) + f.c[plane]
@@ -195,11 +179,9 @@ def _check_boundary(f: BoundaryFunction) -> None:
         raise InternalCheckError("C^1 corner not strictly above its own cap")
 
 
-def _kissing_formula(fid: FamilyId | None) -> int | None:
+def _kissing_formula(fid: FamilyId) -> int:
     """Known kissing numbers per family (cross-checked by shell enumeration
-    in the lattice-core tests); None for unknown bases."""
-    if fid is None:
-        return None
+    in the lattice-core tests)."""
     n = fid.n
     if fid.family == lat.FAMILY_AN:
         return n * (n + 1)

@@ -106,14 +106,12 @@ def cmd_count(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_fold(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
-    basis = lat.build_basis(fid)
-    f = bnd.build_boundary(basis)
-    schedule = fld.build_schedule(fid, basis)
+    f = bnd.build_boundary(lat.build_basis(fid))
     row = {
         "family": fid.family,
         "n": fid.n,
         "samples": args.samples,
-        "max_dev": fld.verify_fold_invariance(f, schedule, args.seed, args.samples),
+        "max_dev": fld.verify_fold_invariance(f, args.seed, args.samples),
     }
     code = 0 if row["max_dev"] <= FOLD_DEV_LIMIT else 1
     if args.format == "json":

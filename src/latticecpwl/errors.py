@@ -9,10 +9,6 @@ class DomainError(LatticeError):
     """Input outside the declared domain (bad family/n, point outside compact set)."""
 
 
-class FactorizationError(LatticeError):
-    """Gram matrix could not be factored (not positive definite)."""
-
-
 class ResourceError(LatticeError):
     """Requested enumeration exceeds the configured desk-scale budget."""
 

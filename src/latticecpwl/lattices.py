@@ -1,5 +1,6 @@
-"""Root-lattice bases: Gram construction, orientation, corners, nearest-corner
-search, uniform sampling of P(B) and of its projection D(B), and JSON export.
+"""Root-lattice bases of the four families: Gram construction, orientation,
+corners, nearest-corner search, uniform sampling of P(B) and of its projection
+D(B), and JSON export. Every basis is built from its FamilyId by build_basis.
 
 Bases are kept as generator matrices G whose rows b_1..b_n satisfy b_j . e_1 = 0
 for j >= 2 and b_1 . e_1 > 0, so the first coordinate plays the role of the
@@ -14,12 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FactorizationError,
-    InternalCheckError,
-    ResourceError,
-)
+from .errors import DomainError, InternalCheckError, ResourceError
 
 FAMILY_AN = "an"
 FAMILY_DN_CONST_A = "dn-const-a"
@@ -86,7 +82,8 @@ def build_gram(fid: FamilyId) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OrientedBasis:
-    """Generator matrix G (rows b_1..b_n) with gram = G G^T.
+    """Generator matrix G (rows b_1..b_n) of the family fid, with integer
+    gram = G G^T.
 
     The orientation puts b_2..b_n inside the hyperplane {y : y . e_1 = 0}
     and makes b_1 . e_1 > 0, i.e. G is upper triangular with positive diagonal.
@@ -94,7 +91,7 @@ class OrientedBasis:
 
     gram: np.ndarray
     G: np.ndarray
-    fid: FamilyId | None = None
+    fid: FamilyId
 
     def __post_init__(self) -> None:
         self.gram.setflags(write=False)
@@ -115,38 +112,24 @@ class OrientedBasis:
         inv.setflags(write=False)
         return inv
 
-    @cached_property
-    def gram_is_integral(self) -> bool:
-        return bool(np.issubdtype(self.gram.dtype, np.integer))
 
-
-def orient_basis(gram: np.ndarray, fid: FamilyId | None = None) -> OrientedBasis:
-    """Factor a positive-definite Gram matrix into the oriented generator.
-
-    Uses a Cholesky factorization with row/column order reversed so the zero
-    pattern lands in the leading coordinates of b_2..b_n:
+def build_basis(fid: FamilyId) -> OrientedBasis:
+    """The oriented basis of a family instance: build_gram, then a Cholesky
+    factorization with row/column order reversed so the zero pattern lands in
+    the leading coordinates of b_2..b_n:
         G = J . chol(J . gram . J) . J,   J = anti-identity.
     The result is upper triangular with positive diagonal, which gives both
     orientation conditions at once (determinant = +sqrt(det gram)).
     """
-    gram = np.asarray(gram)
-    n = gram.shape[0]
-    if gram.shape != (n, n) or not np.allclose(gram, gram.T, atol=GEOM_TOL):
-        raise FactorizationError("gram matrix must be square symmetric")
-    J = np.eye(n)[::-1]
+    gram = build_gram(fid)
+    J = np.eye(fid.n)[::-1]
     try:
-        L = np.linalg.cholesky(J @ (gram.astype(float)) @ J)
+        L = np.linalg.cholesky(J @ gram @ J)
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"gram matrix not positive definite: {exc}") from exc
-    G = J @ L @ J
-    basis = OrientedBasis(gram=gram.copy(), G=G, fid=fid)
+        raise InternalCheckError(f"family gram matrix not positive definite: {exc}") from exc
+    basis = OrientedBasis(gram=gram, G=J @ L @ J, fid=fid)
     _check_orientation(basis)
     return basis
-
-
-def build_basis(fid: FamilyId) -> OrientedBasis:
-    """Convenience: build_gram + orient_basis for a family instance."""
-    return orient_basis(build_gram(fid), fid)
 
 
 def _check_orientation(basis: OrientedBasis) -> None:
@@ -272,13 +255,9 @@ def basis_to_json(basis: OrientedBasis) -> str:
     digits), so reloading reproduces bit-identical matrices.
     """
     payload = {
-        "family": basis.fid.family if basis.fid else None,
+        "family": basis.fid.family,
         "n": basis.n,
-        "gram": [[_num(v) for v in row] for row in np.asarray(basis.gram).tolist()],
+        "gram": basis.gram.tolist(),
         "generator": [[float(v) for v in row] for row in basis.G.tolist()],
     }
     return json.dumps(payload, indent=2)
-
-
-def _num(v: float | int) -> float | int:
-    return int(v) if float(v).is_integer() else float(v)

@@ -262,7 +262,7 @@ def synthesize(
             "reflection_blocks": len(schedule),
             "pieces": len(ff.group),
             "groups": len(sizes),
-            "family": basis.fid.family if basis.fid else "custom",
+            "family": basis.fid.family,
             "n": n,
         },
     }

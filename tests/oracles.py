@@ -23,12 +23,7 @@ from latticecpwl import boundary as bnd
 from latticecpwl import folding as fld
 from latticecpwl import lattices as lat
 from latticecpwl import network as net
-from latticecpwl.errors import (
-    ConstructionError,
-    DomainError,
-    InternalCheckError,
-    ResourceError,
-)
+from latticecpwl.errors import DomainError, InternalCheckError, ResourceError
 
 BOX_BUDGET = 2_000_000
 
@@ -51,9 +46,7 @@ def relevant_vectors(basis: lat.OrientedBasis, r: int = 3) -> tuple[np.ndarray, 
     The box is enumerated in 2r + 1 blocks along the first coordinate to keep
     memory at a few hundred MB at n = 8, r = 4.
     """
-    if not basis.gram_is_integral:
-        raise ConstructionError("shell enumeration needs an integer gram matrix")
-    gram = basis.gram.astype(np.int64)
+    gram = basis.gram
     tail = _box_vectors(basis.n - 1, r)
     minn = None
     blocks: list[np.ndarray] = []
@@ -246,9 +239,9 @@ def folded_count_report(
         pts = sample_folded_domain(basis, ff, seed=(seed, i), count=dens)
         _, act = bnd.eval_boundary_batch(f, pts)
         sampled.append(len(np.unique(f.memberships[act, 1])))
-    stated_fn, sketch_fn = _STATED_SKETCH[fid.family] if fid else (None, None)
+    stated_fn, sketch_fn = _STATED_SKETCH[fid.family]
     return {
-        "family": fid.family if fid is not None else "custom",
+        "family": fid.family,
         "n": basis.n,
         "enumerated": len(planes),
         "enumerated_pairs": len(memberships),

@@ -12,7 +12,7 @@ import pytest
 from latticecpwl import boundary as bd
 from latticecpwl import folding as fo
 from latticecpwl import lattices as lat
-from latticecpwl.errors import ConstructionError, InternalCheckError
+from latticecpwl.errors import InternalCheckError
 from latticecpwl.lattices import FamilyId
 
 import oracles
@@ -48,19 +48,6 @@ def test_neighbors_dn_second_examples():
     assert neighbors(f, (1, 0, 0)) == {(0, 0, 0), (0, 0, 1)}
     # b_1 + b_2: three neighbors
     assert neighbors(f, (1, 1, 0)) == {(0, 1, 0), (0, 1, 1), (0, 0, 1)}
-
-
-@pytest.mark.parametrize(
-    "gram",
-    [
-        np.eye(3, dtype=np.int64),  # odd diagonal
-        2 * (np.ones((3, 3), dtype=np.int64) + np.eye(3, dtype=np.int64)),  # minimum 4
-    ],
-    ids=["odd-diagonal", "diagonal-min-4"],
-)
-def test_build_boundary_rejects_gram_without_norm_two_diagonal(gram):
-    with pytest.raises(ConstructionError):
-        bd.build_boundary(lat.orient_basis(gram))
 
 
 def test_build_boundary_a2_groups():
@@ -430,12 +417,33 @@ def test_build_boundary_on_chamber_corners_matches_reference_loop(family, n):
     assert_same_boundary(bd.build_boundary(basis, z), _reference_build_boundary(basis, z))
 
 
-def test_build_boundary_without_pairs_matches_reference_loop():
-    # gram[0, 0] = 4: no C^1 corner is at squared distance 2 from C^0
-    basis = lat.orient_basis(np.array([[4, 1], [1, 2]]))
+FAMILY_INSTANCES = (
+    [("an", n) for n in range(1, 11)]
+    + [(family, n) for family in ("dn-const-a", "dn-second") for n in range(2, 11)]
+    + [("en", n) for n in range(6, 9)]
+)
+
+
+@pytest.mark.parametrize("family,n", FAMILY_INSTANCES)
+def test_family_bases_meet_what_build_boundary_assumes(family, n):
+    """Every basis comes from its family, and these hold on each one, so
+    build_boundary and exact_simplex_volume need no branch for a basis that
+    breaks them."""
+    basis = lat.build_basis(FamilyId(family, n))
+    diag = np.diag(basis.gram)
+    assert basis.gram.dtype == np.int64
+    assert not (diag % 2).any() and diag.min() == 2
     f = bd.build_boundary(basis)
-    assert len(f.memberships) == 0
-    assert_same_boundary(f, _reference_build_boundary(basis))
+    assert len(f.memberships) >= 1
+    assert (np.abs(f.V[:, 0]) > lat.GEOM_TOL).all()
+    det = abs(np.linalg.det(np.cumsum(basis.G, axis=0)))
+    assert det == pytest.approx(np.sqrt(np.linalg.det(basis.gram)), rel=1e-12)
+
+
+@pytest.mark.parametrize("family,n", [("an", 64), ("dn-second", 24)])
+def test_fold_first_chamber_f_is_non_empty_past_the_corner_cap(family, n):
+    ff = fo.fold_first(lat.build_basis(FamilyId(family, n)))
+    assert len(ff.group) >= 1
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,14 @@ def test_basis_json_schema(capsys):
     assert np.allclose(G @ G.T, np.array(payload["gram"]))
 
 
+@pytest.mark.parametrize("family,n", [("an", 4), ("dn-const-a", 4), ("dn-second", 4), ("en", 6)])
+def test_basis_json_gram_entries_are_integers(capsys, family, n):
+    code, out, _ = run(capsys, ["basis", "--family", family, "--n", str(n), "--format", "json"])
+    assert code == 0
+    gram = json.loads(out)["gram"]
+    assert all(type(v) is int for row in gram for v in row)
+
+
 def test_basis_out_of_range_exits_2(capsys):
     code, out, err = run(capsys, ["basis", "--family", "en", "--n", "5"])
     assert code == 2

@@ -11,12 +11,7 @@ import pytest
 
 from latticecpwl import cli
 from latticecpwl import lattices as lat
-from latticecpwl.errors import (
-    ConstructionError,
-    DomainError,
-    FactorizationError,
-    ResourceError,
-)
+from latticecpwl.errors import DomainError, ResourceError
 
 import oracles
 
@@ -110,16 +105,6 @@ def test_orientation_a2_frozen():
     assert basis.G[1] == pytest.approx([0.0, math.sqrt(2.0)], abs=1e-12)
 
 
-def test_orientation_identity_gram():
-    basis = lat.orient_basis(np.eye(2))
-    assert basis.G == pytest.approx(np.eye(2), abs=1e-12)
-
-
-def test_orient_rejects_non_pd():
-    with pytest.raises(FactorizationError):
-        lat.orient_basis(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
 def test_corners_partition_and_closure():
     basis = lat.build_basis(lat.FamilyId("an", 3))
     corners = lat.enumerate_corners(basis)
@@ -141,7 +126,7 @@ def test_corners_e6_count():
 
 
 def test_corner_cap():
-    big = lat.orient_basis(np.eye(21))
+    big = lat.build_basis(lat.FamilyId("an", 21))
     with pytest.raises(ResourceError):
         lat.enumerate_corners(big)
 
@@ -180,12 +165,6 @@ def test_shell_norm_is_two_everywhere():
         Z, _ = oracles.relevant_vectors(basis, r=2)
         norms = np.einsum("ij,jk,ik->i", Z, basis.gram, Z)
         assert Z.shape[0] > 0 and np.all(norms == 2), fid
-
-
-def test_relevant_vectors_rejects_non_integer_gram():
-    basis = lat.orient_basis(np.array([[2.0, 0.5], [0.5, 2.0]]))
-    with pytest.raises(ConstructionError):
-        oracles.relevant_vectors(basis)
 
 
 def nearest_corner_z(basis, Y):
