@@ -22,9 +22,8 @@ from .errors import InternalCheckError
 from .lattices import FamilyId, OrientedBasis
 
 DECODE_TOL = 1e-7
-# rows per block of _min_max, whose plane-major heights and (groups x rows)
-# maxima then stay in cache (the last block takes the tail too), and of
-# certify_pieces, which holds one (witnesses x memberships) table per block
+# points per block of _min_max, whose (planes x points) heights and (groups x
+# points) maxima then stay in cache
 EVAL_ROWS = 512
 
 PlaneKey = tuple[tuple[int, ...], int]  # (difference z-vector, 2p as integer)
@@ -190,6 +189,17 @@ def _kissing_formula(fid: FamilyId) -> int:
     return {6: 72, 7: 126, 8: 240}[n]
 
 
+def _tail_blocks(count: int, step: int) -> list[tuple[int, int]]:
+    """(lo, hi) of consecutive blocks of step >= 2 rows over count rows, the
+    last taking the tail too, so no block has one row unless count is 1:
+    numpy sends a one-row product to gemv, which can round differently from
+    gemm. A zero count gives the one empty block (0, 0)."""
+    return [
+        (lo, lo + step if lo + 2 * step <= count else count)
+        for lo in range(0, max(count - step + 1, 1), step)
+    ]
+
+
 def _min_max(
     X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray,
     ids: bool = False,
@@ -198,23 +208,27 @@ def _min_max(
     of the max over their members' heights (X W + bias)[column], members in
     ascending `group` order. Returns the values alone; with ids, which only
     `eval_boundary_batch` asks for, (values, first argmin-of-argmax member).
-    A block of EVAL_ROWS rows goes plane-major, and the groups, largest first,
-    take their max one rank at a time, rank r over the prefix larger than r.
-    The values are the min over these maxima in rank order, so only the ids
-    map them back to group order. The last block takes the tail too, so no
-    block has one row unless X does: numpy sends a one-row product to gemv,
-    which can differ from gemm."""
+    Points go as columns: a block of EVAL_ROWS points (the last takes the
+    tail, `_tail_blocks`) gets its heights W^T X^T + bias straight in the
+    (columns x points) layout, so every step after it reads contiguous rows.
+    W^T is made contiguous once per call and each block's X^T once per
+    block, so the product, and with it its rounding, does not depend on
+    how X is laid out: rows, or the transposed view `folding.sort_fold`
+    returns. The groups, largest first, take their max one rank at a time,
+    rank r over the prefix larger than r. The values are the min over these
+    maxima in rank order, so only the ids map them back to group order."""
     _, starts, sizes = np.unique(group, return_index=True, return_counts=True)
     # each group's columns by rank, padded by repeating the group's last one
     table = column[starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
     order = np.argsort(-sizes, kind="stable")
     ranked, back = table[order], np.argsort(order)
     larger = (sizes > np.arange(1, table.shape[1])[:, None]).sum(axis=1).tolist()
+    Wt, bias = np.ascontiguousarray(W.T), bias[:, None]
     count = X.shape[0]
     vals, act = np.empty(count), np.empty(count, dtype=np.int64)
-    for lo in range(0, max(count - EVAL_ROWS + 1, 1), EVAL_ROWS):
-        hi = lo + EVAL_ROWS if lo + 2 * EVAL_ROWS <= count else count
-        Ht = np.ascontiguousarray((X[lo:hi] @ W + bias).T)  # (columns, rows)
+    for lo, hi in _tail_blocks(count, EVAL_ROWS):
+        Ht = Wt @ np.ascontiguousarray(X[lo:hi].T)
+        Ht += bias
         gmax = Ht[ranked[:, 0]]
         for r, k in enumerate(larger, 1):
             np.maximum(gmax[:k], Ht[ranked[:k, r]], out=gmax[:k])
@@ -300,7 +314,9 @@ def certify_pieces(f: BoundaryFunction) -> np.ndarray:
     there plane p beats the other planes of group g, and group g's max beats
     every other group's max, each by at least DECODE_TOL. Strict margins hold
     on an open neighborhood, so (g, p) is active on a set of positive volume.
-    Witnesses go in blocks of EVAL_ROWS against every membership at once.
+    Witnesses go in blocks against every membership at once, each block
+    sized so that its (witnesses x memberships) table holds about 2^16
+    entries (the last block takes the tail, `_tail_blocks`).
     """
     group, plane = f.memberships.T
     starts = np.flatnonzero(np.diff(group, prepend=-1))
@@ -308,8 +324,8 @@ def certify_pieces(f: BoundaryFunction) -> np.ndarray:
     W = ((f.pair_x[first] + f.pair_xp[first]) @ f.basis.G / 2.0)[:, 1:]
     A, c = f.A[plane].T, f.c[plane]
     margin = np.empty(len(group))
-    for lo in range(0, len(group), EVAL_ROWS):
-        m = np.arange(lo, min(lo + EVAL_ROWS, len(group)))  # witness m certifies membership m
+    for lo, hi in _tail_blocks(len(group), max(2, (1 << 16) // len(group))):
+        m = np.arange(lo, hi)  # witness m certifies membership m
         rows = m - lo
         H = W[m] @ A + c  # (witnesses, memberships), row-major for reduceat
         own = H[rows, m]

@@ -106,6 +106,8 @@ def cmd_count(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_fold(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
+    if args.samples < 1:
+        raise DomainError(f"--samples must be >= 1, got {args.samples}")
     f = bnd.build_boundary(lat.build_basis(fid))
     row = {
         "family": fid.family,

@@ -3,10 +3,10 @@
 Builds per-family reflection schedules and evaluates f on the folded domain.
 Each schedule reflection swaps two coordinates of c = y~ Gt^T, so the fold
 is the sort: `sort_fold` orders c descending within each block of linked
-steps, and the compare-exchange units of `network.synthesize` are the ReLU
-construction of the same map. The module also finds the pieces that
-survive on the folded domain, evaluates f fold-first over them, and
-verifies that f is invariant under the fold.
+steps by the block's compare-exchanges, which the compare-exchange units of
+`network.synthesize` compile into ReLU layers. The module also finds the
+pieces that survive on the folded domain, evaluates f fold-first over them,
+and verifies that f is invariant under the fold.
 """
 from __future__ import annotations
 
@@ -159,11 +159,13 @@ def folded_structure(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.n
 @dataclass(frozen=True, eq=False)
 class FoldedBoundary:
     """f on the folded domain, in the coordinates c = y~ Gt^T (Gt = G[1:, 1:],
-    rows b_2..b_n). Step (j, k) swaps c_j and c_k, so the fold sorts c
-    descending within each block of linked steps, and f is the min over the
-    surviving groups of the max over their pieces c W + bias."""
+    rows b_2..b_n, stored contiguous). Step (j, k) swaps c_j and c_k, so the
+    fold sorts c descending within each block of linked steps, and f is the
+    min over the surviving groups of the max over their pieces c W + bias.
+    Points are evaluated as columns: `sort_fold` sorts the rows of
+    C^T = Gt Y~^T, and `bnd._min_max` takes the heights W^T C^T + bias."""
 
-    Gt: np.ndarray  # (n-1, n-1)
+    Gt: np.ndarray  # (n-1, n-1), C-contiguous
     blocks: tuple[np.ndarray, ...]  # ascending columns of c per block
     W: np.ndarray  # (n-1, Pm) = Gt^-T A^T over the surviving memberships
     bias: np.ndarray  # (Pm,)
@@ -179,7 +181,7 @@ def build_folded_boundary(
     blocks = _swap_blocks(f.basis, schedule)
     group, plane = folded_structure(f, schedule).T
     return FoldedBoundary(
-        Gt=f.basis.G[1:, 1:],
+        Gt=np.ascontiguousarray(f.basis.G[1:, 1:]),
         blocks=tuple(np.array(b) - 2 for b in blocks),  # b_j is column j - 2
         W=f.basis.Ginv[1:, 1:].T @ f.A[plane].T,
         bias=f.c[plane],
@@ -199,14 +201,26 @@ def fold_first(basis: lat.OrientedBasis) -> FoldedBoundary:
 
 
 def sort_fold(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
-    """c of each point's fold image: y~ Gt^T sorted descending per block."""
-    C = np.atleast_2d(np.asarray(Yt, dtype=float)) @ ff.Gt.T
+    """c of each point's fold image: y~ Gt^T sorted descending per block.
+
+    Computed with points as columns: C^T = Gt Y~^T, then within each block,
+    for its indices j < k in ascending order (the order of the family
+    schedules), the compare-exchange c_j <- max, c_k <- min on whole rows.
+    That is a selection sort, so it sorts any block. Returns the (N, n-1)
+    transposed view of C^T."""
+    Ct = ff.Gt @ np.atleast_2d(np.asarray(Yt, dtype=float)).T
+    low = np.empty(Ct.shape[1])
     for blk in ff.blocks:
-        C[:, blk] = -np.sort(-C[:, blk], axis=1)
-    return C
+        for a, j in enumerate(blk.tolist()):
+            for k in blk[a + 1 :].tolist():
+                np.minimum(Ct[j], Ct[k], out=low)
+                np.maximum(Ct[j], Ct[k], out=Ct[j])
+                Ct[k] = low
+    return Ct.T
 
 
 def eval_folded_batch(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
     """f at each point, fold-first: sort, then `bnd._min_max`, values alone,
-    over the surviving groups and their pieces."""
+    over the surviving groups and their pieces; the sorted (N, n-1) view
+    goes in as it is."""
     return bnd._min_max(sort_fold(ff, Yt), ff.W, ff.bias, ff.group, np.arange(len(ff.group)))

@@ -6,10 +6,10 @@ simplex family at any rank, by the sorted nearest-corner decoder,
 membership and the bounding box of the projected domain D(B), a Lipschitz
 constant of f, sampled folded-domain counts with the stated
 folded constants beside them, the reduction of extended-box points
-into the base cell, the layer-by-layer reference forward of a network, and
-the line-by-line point-file reader. None of it runs
-in a command; each is an independent
-route that the tests compare the program against.
+into the base cell, the fold as a sort of point rows, the layer-by-layer
+reference forward of a network, and the line-by-line point-file reader.
+None of it runs in a command; each is an independent route that the tests
+compare the program against.
 """
 from __future__ import annotations
 
@@ -171,6 +171,15 @@ def domain_bbox(basis: lat.OrientedBasis) -> tuple[np.ndarray, np.ndarray]:
 def lipschitz_bound(f: bnd.BoundaryFunction) -> float:
     """max over planes of ||vtilde|| / |v . e_1|, a Lipschitz constant for f."""
     return float(np.sqrt((f.A**2).sum(axis=1)).max()) if len(f.A) else 0.0
+
+
+def reference_sort_fold(ff: fld.FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
+    """`folding.sort_fold` by its original route, with points as rows:
+    C = y~ Gt^T, then each block's columns sorted descending by np.sort."""
+    C = np.atleast_2d(np.asarray(Yt, dtype=float)) @ ff.Gt.T
+    for blk in ff.blocks:
+        C[:, blk] = -np.sort(-C[:, blk], axis=1)
+    return C
 
 
 def sample_folded_domain(

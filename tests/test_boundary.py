@@ -278,6 +278,22 @@ def test_eval_working_set_is_bounded():
     assert peak < 32_000_000
 
 
+@pytest.mark.parametrize("family,n", [("en", 8), ("dn-const-a", 10)])
+def test_certify_working_set_is_bounded(family, n):
+    """Each witness block's (witnesses x memberships) table holds about 2^16
+    entries: en 8 (1,205 memberships) peaks near 2 MiB and dn-const-a 10
+    (6,912) near 3 MiB, where blocks of 512 witnesses took 15 and 84 MiB."""
+    f = bd.build_boundary(lat.build_basis(FamilyId(family, n)))
+    tracemalloc.start()
+    try:
+        certified = bd.certify_pieces(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certified.all()
+    assert peak < 6 * 2**20
+
+
 @pytest.mark.parametrize(
     "family,n",
     [("an", n) for n in range(2, 9)]

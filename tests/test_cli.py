@@ -666,6 +666,15 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert payload["gram"] == [[2, 1], [1, 2]]
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_fold_rejects_fewer_than_one_sample(capsys, samples):
+    # the message names the flag, as mc's does
+    code, out, err = run(capsys, ["fold", "--family", "an", "--n", "4", "--samples", samples])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --samples must be >= 1, got {samples}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

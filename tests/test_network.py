@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -89,6 +90,24 @@ def test_forward_equals_reference(family, M):
         got, ref = net.forward(nw, x), oracles.reference_forward(nw, x)
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
+
+
+def test_forward_working_set_is_bounded():
+    """Points go through the layers in column blocks of about 2^18 values
+    per layer output: at en 8, M = 2, 200k points peak near 7 MiB (the
+    input is not traced), where whole-batch layers took 223 MiB."""
+    basis, f, sched = make("en", 8)
+    nw = net.synthesize(basis, sched, f, M=2)
+    alpha = np.random.default_rng(5).random((200_000, 8))
+    alpha[:, 1:] *= 4.0
+    X = alpha @ basis.G
+    tracemalloc.start()
+    try:
+        net.forward(nw, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_forward_empty_and_identity():
