@@ -22,9 +22,17 @@ from .errors import InternalCheckError
 from .lattices import FamilyId, OrientedBasis
 
 DECODE_TOL = 1e-7
-# points per block of _min_max, whose (planes x points) heights and (groups x
-# points) maxima then stay in cache
+# points per block of _height_blocks, whose (planes x points) heights and
+# (groups x points) maxima then stay in cache
 EVAL_ROWS = 512
+# blocks per chunk of _min_max_near: 16,384 points, so its group reductions
+# take packed rows of 2 kB, and a chunk's two (planes x points) bool tables
+# take 5.4 MB at en 8 (161 planes)
+EVAL_CHUNK = 32
+# fewest memberships for which _min_max_near certifies: below it the float
+# gather of _min_max costs less than the certificate's per-point work (on
+# 10k points they break even between 57 and 112 memberships, n = 5 and 6)
+NEAR_MEMBERSHIPS = 100
 
 PlaneKey = tuple[tuple[int, ...], int]  # (difference z-vector, 2p as integer)
 
@@ -200,6 +208,44 @@ def _tail_blocks(count: int, step: int) -> list[tuple[int, int]]:
     ]
 
 
+def _height_blocks(X: np.ndarray, W: np.ndarray, bias: np.ndarray):
+    """Yields (lo, hi, heights) per block of EVAL_ROWS rows of X (the last
+    takes the tail, `_tail_blocks`): the (columns x points) heights
+    W^T X[lo:hi]^T + bias. W^T is made contiguous once per call and each
+    block's X^T once per block, so the product, and with it its rounding,
+    does not depend on how X is laid out: rows, or the transposed view
+    `folding.sort_fold` returns. Every evaluation of f reads its heights
+    here, so the same point in the same block gets the same heights."""
+    Wt, bias = np.ascontiguousarray(W.T), bias[:, None]
+    for lo, hi in _tail_blocks(X.shape[0], EVAL_ROWS):
+        Ht = Wt @ np.ascontiguousarray(X[lo:hi].T)
+        Ht += bias
+        yield lo, hi, Ht
+
+
+def _ranked(group: np.ndarray, column: np.ndarray):
+    """The groups' columns for the rank-at-a-time reductions: (starts, table,
+    ranked, back, larger). Row g of table holds group g's columns by rank,
+    padded by repeating its last one; ranked is table with the groups
+    largest first, back the order that restores group order, and
+    larger[r - 1] the number of groups with more than r members."""
+    _, starts, sizes = np.unique(group, return_index=True, return_counts=True)
+    table = column[starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
+    order = np.argsort(-sizes, kind="stable")
+    larger = (sizes > np.arange(1, table.shape[1])[:, None]).sum(axis=1).tolist()
+    return starts, table, table[order], np.argsort(order), larger
+
+
+def _group_reduce(op, rows: np.ndarray, ranked: np.ndarray, larger: list[int]) -> np.ndarray:
+    """Per group of `_ranked`, largest first, op (np.maximum, np.bitwise_or)
+    over its members' rows, one rank at a time: rank r over the prefix of
+    groups with more than r members."""
+    out = rows[ranked[:, 0]]
+    for r, k in enumerate(larger, 1):
+        op(out[:k], rows[ranked[:k, r]], out=out[:k])
+    return out
+
+
 def _min_max(
     X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray,
     ids: bool = False,
@@ -208,30 +254,17 @@ def _min_max(
     of the max over their members' heights (X W + bias)[column], members in
     ascending `group` order. Returns the values alone; with ids, which only
     `eval_boundary_batch` asks for, (values, first argmin-of-argmax member).
-    Points go as columns: a block of EVAL_ROWS points (the last takes the
-    tail, `_tail_blocks`) gets its heights W^T X^T + bias straight in the
+    Points go as columns: each block of `_height_blocks` is in the
     (columns x points) layout, so every step after it reads contiguous rows.
-    W^T is made contiguous once per call and each block's X^T once per
-    block, so the product, and with it its rounding, does not depend on
-    how X is laid out: rows, or the transposed view `folding.sort_fold`
-    returns. The groups, largest first, take their max one rank at a time,
-    rank r over the prefix larger than r. The values are the min over these
-    maxima in rank order, so only the ids map them back to group order."""
-    _, starts, sizes = np.unique(group, return_index=True, return_counts=True)
-    # each group's columns by rank, padded by repeating the group's last one
-    table = column[starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
-    order = np.argsort(-sizes, kind="stable")
-    ranked, back = table[order], np.argsort(order)
-    larger = (sizes > np.arange(1, table.shape[1])[:, None]).sum(axis=1).tolist()
-    Wt, bias = np.ascontiguousarray(W.T), bias[:, None]
+    The group maxima gather a float row per membership (`_group_reduce`);
+    the values are the min over them in rank order, so only the ids map
+    them back to group order. Where a value within a tolerance is at hand,
+    `_min_max_near` gives the same values from packed bits per column."""
+    starts, table, ranked, back, larger = _ranked(group, column)
     count = X.shape[0]
     vals, act = np.empty(count), np.empty(count, dtype=np.int64)
-    for lo, hi in _tail_blocks(count, EVAL_ROWS):
-        Ht = Wt @ np.ascontiguousarray(X[lo:hi].T)
-        Ht += bias
-        gmax = Ht[ranked[:, 0]]
-        for r, k in enumerate(larger, 1):
-            np.maximum(gmax[:k], Ht[ranked[:k, r]], out=gmax[:k])
+    for lo, hi, Ht in _height_blocks(X, W, bias):
+        gmax = _group_reduce(np.maximum, Ht, ranked, larger)
         if not ids:
             gmax.min(axis=0, out=vals[lo:hi])
             continue
@@ -243,6 +276,69 @@ def _min_max(
     return (vals, act) if ids else vals
 
 
+def _min_max_near(
+    X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray,
+    t: np.ndarray, tol: float,
+) -> np.ndarray:
+    """`_min_max`'s values (without ids), bit for bit, given a candidate t per
+    row of X that is within tol of its value.
+
+    A row's value is certified to be the height v of the one column whose
+    height lies in the band [t - tol, t + tol] when some group has no member
+    above the band and every group has a member in it or above it: then the
+    min-max lies in the band, and it is one of the heights, so it is v.
+    Heights come from `_height_blocks`, as in `_min_max`. The tests are
+    bits per column, "at most the band's ceiling" and "at least its floor",
+    packed over the points of EVAL_CHUNK whole blocks: AND over
+    each group's members then OR over the groups, OR then AND, and one
+    column in both. A block with a row that fails takes `_min_max` itself,
+    so the values never depend on t, and a t off by more than tol shows in
+    |values - t|. Below NEAR_MEMBERSHIPS memberships it is `_min_max`
+    itself."""
+    if len(group) < NEAR_MEMBERSHIPS:
+        return _min_max(X, W, bias, group, column)
+    _, _, ranked, _, larger = _ranked(group, column)
+    floor, ceil = t - tol, t + tol
+    count = X.shape[0]
+    vals, ok = np.empty(count), np.empty(count, dtype=bool)
+    # per column and row of a chunk (EVAL_CHUNK blocks, or fewer and the
+    # tail block): height at most the band's ceiling, and at least its floor
+    under, reach = np.empty((2, W.shape[1], min(count, (EVAL_CHUNK + 1) * EVAL_ROWS)), dtype=bool)
+    first = 0  # first row of the chunk
+    for b, (lo, hi, Ht) in enumerate(_height_blocks(X, W, bias), 1):
+        rows = slice(lo - first, hi - first)
+        np.less_equal(Ht, ceil[lo:hi], out=under[:, rows])
+        np.greater_equal(Ht, floor[lo:hi], out=reach[:, rows])
+        # the max over the band is v where the row is certified (a sparse
+        # mask: numpy's masked max is several times slower on a dense one)
+        Ht.max(axis=0, where=under[:, rows] & reach[:, rows], initial=-np.inf, out=vals[lo:hi])
+        if b % EVAL_CHUNK and hi < count:
+            continue
+        low = np.packbits(under[:, : hi - first], axis=1)
+        high = np.packbits(reach[:, : hi - first], axis=1)
+        certified = (
+            np.bitwise_or.reduce(_group_reduce(np.bitwise_and, low, ranked, larger))
+            & np.bitwise_and.reduce(_group_reduce(np.bitwise_or, high, ranked, larger))
+            & _exactly_one(low & high)
+        )
+        ok[first:hi] = np.unpackbits(certified, count=hi - first).view(bool)
+        first = hi
+    if not ok.all():
+        for lo, hi in _tail_blocks(count, EVAL_ROWS):
+            if not ok[lo:hi].all():
+                vals[lo:hi] = _min_max(X[lo:hi], W, bias, group, column)
+    return vals
+
+
+def _exactly_one(packed: np.ndarray) -> np.ndarray:
+    """Per bit of the packed rows, whether exactly one row sets it."""
+    one, two = np.zeros_like(packed[0]), np.zeros_like(packed[0])
+    for row in packed:
+        two |= one & row
+        one |= row
+    return one & ~two
+
+
 def eval_boundary_batch(
     f: BoundaryFunction, Yt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +348,8 @@ def eval_boundary_batch(
     first-maximum rule realizes the smallest-id tie-break because memberships
     are laid out in (group, plane) order with plane ids ascending. This is the
     one caller that gets the ids; the dense side of
-    `folding.verify_fold_invariance` takes the values alone."""
+    `folding.verify_fold_invariance` gets the same values from
+    `_min_max_near`."""
     Yt = np.atleast_2d(np.asarray(Yt, dtype=float))
     return _min_max(Yt, f.A.T, f.c, *f.memberships.T, ids=True)
 
@@ -314,27 +411,35 @@ def certify_pieces(f: BoundaryFunction) -> np.ndarray:
     there plane p beats the other planes of group g, and group g's max beats
     every other group's max, each by at least DECODE_TOL. Strict margins hold
     on an open neighborhood, so (g, p) is active on a set of positive volume.
-    Witnesses go in blocks against every membership at once, each block
-    sized so that its (witnesses x memberships) table holds about 2^16
-    entries (the last block takes the tail, `_tail_blocks`).
+
+    Witnesses go in the blocks of `_height_blocks`, so their heights are the
+    ones `eval_boundary_batch` computes there. Per block, the (planes x
+    witnesses) heights minus each witness's own height give two bit sets,
+    packed over witnesses: "beats own by DECODE_TOL" and "below
+    own by DECODE_TOL". Rounding is monotone, so max_q fl(h_q - own) equals
+    fl(max_q h_q - own), and the margins hold exactly when every other group
+    has a member that beats own (OR over its members, AND over the groups)
+    and every other member of g is below own (AND over g). Marks take g and
+    p out: p counts as below own (its bit is read for g only), and g's OR
+    is set.
     """
     group, plane = f.memberships.T
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    _, _, ranked, back, larger = _ranked(group, plane)
     _, first = np.unique(f.pair_memb, return_index=True)
     W = ((f.pair_x[first] + f.pair_xp[first]) @ f.basis.G / 2.0)[:, 1:]
-    A, c = f.A[plane].T, f.c[plane]
-    margin = np.empty(len(group))
-    for lo, hi in _tail_blocks(len(group), max(2, (1 << 16) // len(group))):
+    certified = np.empty(len(group), dtype=bool)
+    for lo, hi, Ht in _height_blocks(W, f.A.T, f.c):
         m = np.arange(lo, hi)  # witness m certifies membership m
-        rows = m - lo
-        H = W[m] @ A + c  # (witnesses, memberships), row-major for reduceat
-        own = H[rows, m]
-        H[rows, m] = -np.inf
-        gmax = np.maximum.reduceat(H, starts, axis=1)
-        runner_up = gmax[rows, group[m]]  # best other plane of the own group
-        gmax[rows, group[m]] = np.inf
-        margin[m] = np.minimum(own - runner_up, gmax.min(axis=1) - own)
-    return margin >= DECODE_TOL
+        own, byte, bit = back[group[m]], (m - lo) >> 3, (128 >> ((m - lo) & 7)).astype(np.uint8)
+        Ht -= Ht[plane[m], m - lo]
+        below, beats = Ht <= -DECODE_TOL, Ht >= DECODE_TOL
+        below[plane[m], m - lo] = True  # p itself, read for the own group only
+        alone = _group_reduce(np.bitwise_and, np.packbits(below, axis=1), ranked, larger)
+        beaten = _group_reduce(np.bitwise_or, np.packbits(beats, axis=1), ranked, larger)
+        np.bitwise_or.at(beaten, (own, byte), bit)  # g itself passes
+        others = np.bitwise_and.reduce(beaten)[byte]
+        certified[lo:hi] = (others & alone[own, byte] & bit) != 0
+    return certified
 
 
 def decode_bit_batch(Y: np.ndarray, vals: np.ndarray) -> np.ndarray:

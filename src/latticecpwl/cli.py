@@ -29,8 +29,6 @@ from .errors import (
     ResourceError,
 )
 
-FOLD_DEV_LIMIT = 1e-9
-
 
 def _csv(header: list[str], rows: list[list[object]]) -> str:
     lines = [",".join(header)]
@@ -115,7 +113,7 @@ def cmd_fold(fid: lat.FamilyId, args: argparse.Namespace) -> tuple[int, str]:
         "samples": args.samples,
         "max_dev": fld.verify_fold_invariance(f, args.seed, args.samples),
     }
-    code = 0 if row["max_dev"] <= FOLD_DEV_LIMIT else 1
+    code = 0 if row["max_dev"] <= fld.FOLD_DEV_LIMIT else 1
     if args.format == "json":
         return code, json.dumps(row, indent=2) + "\n"
     header = ["family", "n", "samples", "max_dev"]

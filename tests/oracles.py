@@ -7,7 +7,8 @@ membership and the bounding box of the projected domain D(B), a Lipschitz
 constant of f, sampled folded-domain counts with the stated
 folded constants beside them, the reduction of extended-box points
 into the base cell, the fold as a sort of point rows, the layer-by-layer
-reference forward of a network, and the line-by-line point-file reader.
+reference forward of a network, the line-by-line point-file reader, and
+the float-margin piece certificate.
 None of it runs in a command; each is an independent route that the tests
 compare the program against.
 """
@@ -171,6 +172,31 @@ def domain_bbox(basis: lat.OrientedBasis) -> tuple[np.ndarray, np.ndarray]:
 def lipschitz_bound(f: bnd.BoundaryFunction) -> float:
     """max over planes of ||vtilde|| / |v . e_1|, a Lipschitz constant for f."""
     return float(np.sqrt((f.A**2).sum(axis=1)).max()) if len(f.A) else 0.0
+
+
+def reference_certify_pieces(f: bnd.BoundaryFunction) -> np.ndarray:
+    """`boundary.certify_pieces` by its original route, float margins over
+    every membership: per witness block, the (witnesses x memberships)
+    heights, the own membership set to -inf for the runner-up of its group,
+    then the group maxima by reduceat, the own group's set to +inf. Each
+    block's table holds about 2^16 entries (the last block takes the tail)."""
+    group, plane = f.memberships.T
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    _, first = np.unique(f.pair_memb, return_index=True)
+    W = ((f.pair_x[first] + f.pair_xp[first]) @ f.basis.G / 2.0)[:, 1:]
+    A, c = f.A[plane].T, f.c[plane]
+    margin = np.empty(len(group))
+    for lo, hi in bnd._tail_blocks(len(group), max(2, (1 << 16) // len(group))):
+        m = np.arange(lo, hi)  # witness m certifies membership m
+        rows = m - lo
+        H = W[m] @ A + c  # (witnesses, memberships), row-major for reduceat
+        own = H[rows, m]
+        H[rows, m] = -np.inf
+        gmax = np.maximum.reduceat(H, starts, axis=1)
+        runner_up = gmax[rows, group[m]]  # best other plane of the own group
+        gmax[rows, group[m]] = np.inf
+        margin[m] = np.minimum(own - runner_up, gmax.min(axis=1) - own)
+    return margin >= bnd.DECODE_TOL
 
 
 def reference_sort_fold(ff: fld.FoldedBoundary, Yt: np.ndarray) -> np.ndarray:

@@ -278,11 +278,14 @@ def test_eval_working_set_is_bounded():
     assert peak < 32_000_000
 
 
-@pytest.mark.parametrize("family,n", [("en", 8), ("dn-const-a", 10)])
+@pytest.mark.parametrize("family,n", [("en", 8), ("dn-const-a", 10), ("an", 12)])
 def test_certify_working_set_is_bounded(family, n):
-    """Each witness block's (witnesses x memberships) table holds about 2^16
-    entries: en 8 (1,205 memberships) peaks near 2 MiB and dn-const-a 10
-    (6,912) near 3 MiB, where blocks of 512 witnesses took 15 and 84 MiB."""
+    """Witnesses go in blocks of EVAL_ROWS, so beside the witnesses the
+    working set is one block's (planes x witnesses) heights and its packed
+    bits: en 8 (1,205 memberships) peaks near 1.8 MiB, dn-const-a 10
+    (6,912) near 2.1 MiB and an 12 (13,312) near 4.1 MiB. One unblocked
+    (memberships x memberships) bit table alone is 6 MB at dn-const-a 10
+    and 22 MB at an 12."""
     f = bd.build_boundary(lat.build_basis(FamilyId(family, n)))
     tracemalloc.start()
     try:
@@ -559,6 +562,19 @@ def test_certified_count_an_8_reports_576():
     seed 42 hit only 575 of them."""
     row = bd.piece_count_report(FamilyId("an", 8))
     assert (row["formula"], row["oracle"], row["sampled"], row["match"]) == (576, 576, 576, True)
+
+
+@pytest.mark.parametrize("family,n", [
+    (family, n)
+    for family in lat.FAMILIES
+    for n in range(lat.FAMILY_RANGES[family][0], (lat.FAMILY_RANGES[family][1] or 10) + 1)
+] + [("an", 12)])
+def test_certificate_bits_equal_float_margins(family, n):
+    """The packed-bit certificate gives the booleans of the float-margin
+    test over every membership, from each family's lowest rank (an 1 and
+    dn-second 2 have one plane) to n = 10, and at an 12."""
+    f = bd.build_boundary(lat.build_basis(FamilyId(family, n)))
+    assert np.array_equal(bd.certify_pieces(f), oracles.reference_certify_pieces(f))
 
 
 def test_certificate_drops_a_lowered_plane(monkeypatch):

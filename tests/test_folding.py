@@ -3,6 +3,7 @@ surviving-piece counts, and reduction into the base cell."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,82 @@ def test_fold_invariance_rejects_bad_count():
     _, _, f, _ = make("an", 3)
     with pytest.raises(DomainError):
         fo.verify_fold_invariance(f, seed=0, count=0)
+
+
+def spy_dense(monkeypatch, f):
+    """Records the row count of each full dense min-max `_min_max` runs
+    over f's memberships (the fold-first side runs it over fewer)."""
+    calls, min_max = [], bd._min_max
+
+    def spy(X, W, bias, group, column, ids=False):
+        if len(group) == len(f.memberships):
+            calls.append(len(X))
+        return min_max(X, W, bias, group, column, ids)
+
+    monkeypatch.setattr(bd, "_min_max", spy)
+    return calls
+
+
+@pytest.mark.parametrize("family,n,full", [
+    ("an", 8, []),
+    ("dn-second", 8, []),
+    ("en", 8, []),
+    ("an", 5, [10_000]),
+])
+def test_fold_check_certifies_a_correct_fold(monkeypatch, family, n, full):
+    """On a correct fold the certificate covers every point: no block of
+    the dense side takes the full min-max. an 5 has 48 memberships, below
+    NEAR_MEMBERSHIPS, so its dense side is the full min-max of all points."""
+    _, _, f, _ = make(family, n)
+    calls = spy_dense(monkeypatch, f)
+    assert fo.verify_fold_invariance(f, seed=1, count=10_000) <= fo.FOLD_DEV_LIMIT
+    assert calls == full
+
+
+@pytest.mark.parametrize("wrong,fallbacks", [
+    ("every 7th point", [512, 512, 612]),
+    ("one whole block", [512]),
+    ("the highest plane", [512, 512, 612]),
+    ("the lowest plane", [512, 512, 612]),
+])
+def test_fold_check_shows_a_wrong_fold(monkeypatch, wrong, fallbacks):
+    """A fold-first value off by more than FOLD_DEV_LIMIT leaves its point
+    uncertified, so its block takes the full min-max, and the check still
+    reports max |dense - folded| exactly. A value on the height of another
+    plane than f's puts exactly one plane in the band: at the highest plane
+    only the groups that hold it reach the band, and at the lowest plane
+    every group has a member above it, so neither is certified."""
+    _, basis, f, _ = make("en", 8)
+    count = 3 * bd.EVAL_ROWS + 100
+    Yt = lat.sample_domain(basis, seed=5, count=count)
+    folded = fo.eval_folded_batch(fo.fold_first(basis), Yt)
+    heights = Yt @ f.A.T + f.c
+    if wrong == "every 7th point":
+        folded[::7] += 1e-6
+    elif wrong == "one whole block":
+        folded[bd.EVAL_ROWS : 2 * bd.EVAL_ROWS] -= 0.5
+    else:
+        folded = heights.max(axis=1) if wrong == "the highest plane" else heights.min(axis=1)
+    dense, _ = bd.eval_boundary_batch(f, Yt)
+    monkeypatch.setattr(fo, "eval_folded_batch", lambda ff, Y: folded)
+    calls = spy_dense(monkeypatch, f)
+    assert fo.verify_fold_invariance(f, seed=5, count=count) == np.abs(dense - folded).max()
+    assert calls == fallbacks
+
+
+def test_fold_check_memory_is_bounded():
+    """200k samples at en 8 (161 planes, 1,205 memberships): the dense side
+    takes its bits in chunks of EVAL_CHUNK blocks, so the check peaks near
+    26.4 MB, most of it the samples and their fold. The float-gather dense
+    side it replaced peaked at 27.96 MB."""
+    _, _, f, _ = make("en", 8)
+    tracemalloc.start()
+    try:
+        fo.verify_fold_invariance(f, seed=3, count=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28_000_000
 
 
 @pytest.mark.parametrize("family,n", sorted(FOLDED_STRUCTURE))

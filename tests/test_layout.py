@@ -1,8 +1,9 @@
 """Bit-identity of the points-as-columns kernels at the edges of their
 layout: the fold's compare-exchange sort against the sort of point rows,
-fold-first and dense min-max values against their references, and the
-blocked network forward against the layer-by-layer reference, at point
-counts around the kernels' block sizes and on exact-tie inputs."""
+fold-first, dense and certified dense min-max values against their
+references, and the blocked network forward against the layer-by-layer
+reference, at point counts around the kernels' block sizes and on
+exact-tie inputs."""
 from __future__ import annotations
 
 import numpy as np
@@ -60,6 +61,24 @@ def test_dense_values_match_eval_boundary_batch(family, n):
     for Y in edge_inputs(basis, f, COUNTS):
         vals = bd._min_max(Y[:, 1:], f.A.T, f.c, *f.memberships.T)
         assert vals.tobytes() == bd.eval_boundary_batch(f, Y[:, 1:])[0].tobytes()
+
+
+@pytest.mark.parametrize("family,n", INSTANCES)
+def test_certified_dense_values_match_min_max(family, n, monkeypatch):
+    """The fold check's dense side, certified from the fold-first values,
+    gives `_min_max`'s values byte for byte: at one point, around
+    EVAL_ROWS, around the two-block tail rule, and on exact ties of f,
+    where the certificate fails and the block takes `_min_max` itself.
+    The certificate runs at every size here, below NEAR_MEMBERSHIPS too."""
+    monkeypatch.setattr(bd, "NEAR_MEMBERSHIPS", 0)
+    basis = lat.build_basis(FamilyId(family, n))
+    f = bd.build_boundary(basis)
+    ff = fo.fold_first(basis)
+    for Y in edge_inputs(basis, f, (1,) + COUNTS):
+        folded = fo.eval_folded_batch(ff, Y[:, 1:])
+        args = (Y[:, 1:], f.A.T, f.c, *f.memberships.T)
+        near = bd._min_max_near(*args, folded, fo.FOLD_DEV_LIMIT)
+        assert near.tobytes() == bd._min_max(*args).tobytes()
 
 
 @pytest.mark.parametrize("M", [0, 1, 2])
