@@ -80,7 +80,8 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
     Built in one array pass. Every family Gram has an even diagonal with
     minimum 2, so the lattice is even with minimal norm 2, and the pairs are
     the entries equal to 2 of the integer norm table
-    q(x) + q(x') - 2 x gram x'^T, taken over blocks of C^1 rows of about 2^20
+    q(x) + q(x') - 2 x gram x'^T, in float64 (exact on its small integers,
+    and its product goes through BLAS) over blocks of C^1 rows of about 2^20
     entries each, so no C^1 x C^0 table is ever held; read row-major, they
     come corner by corner, x' ascending. Plane ids number the distinct keys
     in first-occurrence order, found by a stable lexsort of the key rows, so
@@ -96,10 +97,10 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
 
     q0 = np.einsum("ij,jk,ik->i", c0, gram, c0)
     q1 = np.einsum("ij,jk,ik->i", c1, gram, c1)
-    cross = -2 * gram @ c0.T
+    rows, cross = c1.astype(float), (-2 * gram @ c0.T).astype(float)
     step = max(1, (1 << 20) // len(c0))
     hits = np.concatenate([
-        np.flatnonzero(c1[lo : lo + step] @ cross + q0 + q1[lo : lo + step, None] == 2)
+        np.flatnonzero(rows[lo : lo + step] @ cross + q0 + q1[lo : lo + step, None] == 2)
         + lo * len(c0)
         for lo in range(0, len(c1), step)
     ])

@@ -1,12 +1,12 @@
 """Reflection folding of the boundary-function domain.
 
-Builds per-family reflection schedules and evaluates f on the folded domain.
-Each schedule reflection swaps two coordinates of c = y~ Gt^T, so the fold
-is the sort: `sort_fold` orders c descending within each block of linked
-steps by the block's compare-exchanges, which the compare-exchange units of
-`network.synthesize` compile into ReLU layers. The module also finds the
-pieces that survive on the folded domain, evaluates f fold-first over them,
-and verifies that f is invariant under the fold.
+A family's schedule is its blocks of basis indices. Each reflection of the
+fold swaps two coordinates of c = y~ Gt^T within a block, so the fold is
+the sort of c descending per block. `comparators` lists that sort's
+compare-exchanges once: `sort_fold` runs them on points, and
+`network.synthesize` compiles each into a ReLU unit. The module also finds
+the pieces that survive on the folded domain, evaluates f fold-first over
+them, and verifies that f is invariant under the fold.
 """
 from __future__ import annotations
 
@@ -24,47 +24,49 @@ THREADS_ENV = "LATTICE_FOLD_THREADS"
 # the band in which its dense side certifies f from the fold-first value
 FOLD_DEV_LIMIT = 1e-9
 
-
-@dataclass(frozen=True)
-class FoldStep:
-    """One reflection: across the bisector of b_j and b_k (1-based indices),
-    a hyperplane through the origin. Its normal b_j - b_k has first
-    coordinate zero (j, k >= 2), so it acts on the projected domain, where
-    it swaps c_j and c_k (`_swap_blocks`)."""
-
-    j: int
-    k: int
+# a family's fold: ascending 1-based basis indices per block, blocks disjoint
+Schedule = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class FoldingSchedule:
-    steps: tuple[FoldStep, ...]
+def build_schedule(fid: lat.FamilyId, basis: lat.OrientedBasis) -> Schedule:
+    """The family's fold as blocks of basis indices (1-based, ascending):
+    an and dn-const-a (2..n), dn-second (3..n), en (2,3) and (4..n), less
+    blocks of fewer than two. Raises ConstructionError unless the basis has
+    the family's rank and each swap of two indices of a block leaves the
+    integer Gram invariant.
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def _schedule_pairs(fid: lat.FamilyId) -> list[tuple[int, int]]:
-    n = fid.n
-    if fid.family in (lat.FAMILY_AN, lat.FAMILY_DN_CONST_A):
-        lo = 2
-    elif fid.family == lat.FAMILY_DN_SECOND:
-        lo = 3
-    else:
-        # the (2,3) bisector comes first, then the tail coordinates
-        return [(2, 3)] + [
-            (j, k) for j in range(4, n + 1) for k in range(j + 1, n + 1)
-        ]
-    return [(j, k) for j in range(lo, n + 1) for k in range(j + 1, n + 1)]
-
-
-def build_schedule(fid: lat.FamilyId, basis: lat.OrientedBasis) -> FoldingSchedule:
-    """Reflection schedule for the family, in its required order."""
+    Then the reflection across the bisector of b_j and b_k (its normal
+    b_j - b_k has first coordinate zero) swaps c_j and c_k of c = y~ Gt^T,
+    and z gram (e_j - e_k) = (g_jj - g_jk)(z_j - z_k) with g_jj > g_jk (the
+    Gram is positive definite), so the non-negative side of all of them is
+    the descending order within each block, for points and corners alike:
+    the fold is the sort.
+    """
     if basis.n != fid.n:
-        raise ConstructionError(
-            f"basis rank {basis.n} does not match family rank {fid.n}"
-        )
-    return FoldingSchedule(steps=tuple(FoldStep(j=j, k=k) for j, k in _schedule_pairs(fid)))
+        raise ConstructionError(f"basis rank {basis.n} does not match family rank {fid.n}")
+    n = fid.n
+    if fid.family == lat.FAMILY_EN:
+        blocks = [range(2, 4), range(4, n + 1)]
+    else:
+        blocks = [range(3 if fid.family == lat.FAMILY_DN_SECOND else 2, n + 1)]
+    schedule = tuple(tuple(b) for b in blocks if len(b) > 1)
+    gram = np.asarray(basis.gram).tolist()
+    for j, k in comparators(schedule):
+        # the Gram is symmetric, so it is invariant under the swap iff row k
+        # is row j with its entries j and k traded
+        row = gram[j - 1][:]
+        row[j - 1], row[k - 1] = row[k - 1], row[j - 1]
+        if row != gram[k - 1]:
+            raise ConstructionError(f"the fold does not swap b_{j} and b_{k}")
+    return schedule
+
+
+def comparators(schedule: Schedule) -> list[tuple[int, int]]:
+    """The fold's compare-exchanges (j, k), 1-based, in the order they run:
+    within each block, j ascending and then k ascending. c_j <- max and
+    c_k <- min in that order is a selection sort, so it sorts any block
+    descending. `sort_fold` and `network.synthesize` both run this list."""
+    return [(j, k) for blk in schedule for a, j in enumerate(blk) for k in blk[a + 1 :]]
 
 
 def verify_fold_invariance(
@@ -95,45 +97,15 @@ def verify_fold_invariance(
     return float(np.abs(dense - folded).max())
 
 
-def _swap_blocks(basis: lat.OrientedBasis, schedule: FoldingSchedule) -> list[list[int]]:
-    """The blocks of linked schedule steps, each its ascending basis indices
-    (1-based). Raises ConstructionError unless each step (j, k),
-    2 <= j < k <= n, leaves the integer Gram invariant when b_j and b_k trade
-    places, and each block holds all its pairs.
-
-    Then step (j, k) is the swap of c_j and c_k, and
-    z gram (e_j - e_k) = (g_jj - g_jk)(z_j - z_k) with g_jj > g_jk (the Gram
-    is positive definite), so the non-negative side of every step is the
-    descending order within each block, for points and corners alike.
-    """
-    n, gram = basis.n, np.asarray(basis.gram).tolist()
-    blocks: list[set[int]] = []
-    for s in schedule.steps:
-        if not 2 <= s.j < s.k <= n:
-            raise ConstructionError(f"step ({s.j},{s.k}) is not a pair 2 <= j < k <= {n}")
-        # the Gram is symmetric, so it is invariant under the swap iff row k
-        # is row j with its entries j and k traded
-        row = gram[s.j - 1][:]
-        row[s.j - 1], row[s.k - 1] = row[s.k - 1], row[s.j - 1]
-        if row != gram[s.k - 1]:
-            raise ConstructionError(f"step ({s.j},{s.k}) does not swap b_{s.j} and b_{s.k}")
-        linked = [b for b in blocks if s.j in b or s.k in b]
-        blocks = [b for b in blocks if b not in linked] + [{s.j, s.k}.union(*linked)]
-    if len({(s.j, s.k) for s in schedule.steps}) != sum(len(b) * (len(b) - 1) // 2 for b in blocks):
-        raise ConstructionError("a schedule block lacks a pair, so the fold is not a sort")
-    return [sorted(b) for b in blocks]
-
-
-def chamber_corners(basis: lat.OrientedBasis, schedule: FoldingSchedule) -> np.ndarray:
-    """The corner labels z on the non-negative side of every schedule step,
-    lexicographically ordered: sorted descending within each block of
-    `_swap_blocks` and free elsewhere. These are the corners of the neighbor
-    pairs that survive the fold: 2n for an and dn-const-a, 4n - 4 for
-    dn-second, 6n - 12 for en, against 2^n in all."""
-    blocks = _swap_blocks(basis, schedule)
-    free = set(range(1, basis.n + 1)).difference(*blocks)
+def chamber_corners(basis: lat.OrientedBasis, schedule: Schedule) -> np.ndarray:
+    """The corner labels z on the non-negative side of every comparator,
+    lexicographically ordered: sorted descending within each schedule block
+    and free elsewhere. These are the corners of the neighbor pairs that
+    survive the fold: 2n for an and dn-const-a, 4n - 4 for dn-second,
+    6n - 12 for en, against 2^n in all."""
+    free = set(range(1, basis.n + 1)).difference(*schedule)
     z = np.zeros((1, basis.n), dtype=np.int64)
-    for blk in blocks + [[j] for j in sorted(free)]:
+    for blk in schedule + tuple((j,) for j in sorted(free)):
         m = len(blk)
         labels = np.arange(m) < np.arange(m + 1)[:, None]  # row k: k leading ones
         z = np.repeat(z, m + 1, axis=0)
@@ -141,21 +113,20 @@ def chamber_corners(basis: lat.OrientedBasis, schedule: FoldingSchedule) -> np.n
     return z[np.lexsort(z.T[::-1])]
 
 
-def surviving_pairs(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.ndarray:
+def surviving_pairs(f: bnd.BoundaryFunction, schedule: Schedule) -> np.ndarray:
     """Mask over pair rows: both endpoints on the non-negative side of every
-    schedule hyperplane, tested exactly in integers.
+    comparator's hyperplane, tested exactly in integers.
 
-    Corner z lies on the non-negative side of step (j, k) iff
+    Corner z lies on the non-negative side of comparator (j, k) iff
     z gram (e_j - e_k) >= 0, so the integer rows are gram[j] - gram[k].
     """
-    if not schedule.steps:
-        return np.ones(f.pair_memb.shape[0], dtype=bool)
     gram = np.asarray(f.basis.gram)
-    rows = np.array([gram[s.j - 1] - gram[s.k - 1] for s in schedule.steps])
+    rows = np.array([gram[j - 1] - gram[k - 1] for j, k in comparators(schedule)])
+    rows = rows.reshape(-1, f.basis.n)
     return ((f.pair_x @ rows.T >= 0) & (f.pair_xp @ rows.T >= 0)).all(axis=1)
 
 
-def folded_structure(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.ndarray:
+def folded_structure(f: bnd.BoundaryFunction, schedule: Schedule) -> np.ndarray:
     """Surviving (group, plane) membership rows after folding, in ascending
     order.
 
@@ -168,30 +139,26 @@ def folded_structure(f: bnd.BoundaryFunction, schedule: FoldingSchedule) -> np.n
 @dataclass(frozen=True, eq=False)
 class FoldedBoundary:
     """f on the folded domain, in the coordinates c = y~ Gt^T (Gt = G[1:, 1:],
-    rows b_2..b_n, stored contiguous). Step (j, k) swaps c_j and c_k, so the
-    fold sorts c descending within each block of linked steps, and f is the
-    min over the surviving groups of the max over their pieces c W + bias.
-    Points are evaluated as columns: `sort_fold` sorts the rows of
-    C^T = Gt Y~^T, and `bnd._min_max` takes the heights W^T C^T + bias."""
+    rows b_2..b_n, stored contiguous). The fold sorts c descending within
+    each schedule block, and f is the min over the surviving groups of the
+    max over their pieces c W + bias. Points are evaluated as columns:
+    `sort_fold` sorts the rows of C^T = Gt Y~^T, and `bnd._min_max` takes
+    the heights W^T C^T + bias."""
 
     Gt: np.ndarray  # (n-1, n-1), C-contiguous
-    blocks: tuple[np.ndarray, ...]  # ascending columns of c per block
+    pairs: tuple[tuple[int, int], ...]  # `comparators`, b_j as column j - 2 of c
     W: np.ndarray  # (n-1, Pm) = Gt^-T A^T over the surviving memberships
     bias: np.ndarray  # (Pm,)
     group: np.ndarray  # (Pm,) surviving group id of each column of W
 
 
-def build_folded_boundary(
-    f: bnd.BoundaryFunction, schedule: FoldingSchedule
-) -> FoldedBoundary:
+def build_folded_boundary(f: bnd.BoundaryFunction, schedule: Schedule) -> FoldedBoundary:
     """The fold-first evaluator of f: its surviving memberships in the
-    coordinates c, with the blocks of `_swap_blocks`, which raises
-    ConstructionError unless the fold is the sort."""
-    blocks = _swap_blocks(f.basis, schedule)
+    coordinates c, and the schedule's comparators on the columns of c."""
     group, plane = folded_structure(f, schedule).T
     return FoldedBoundary(
         Gt=np.ascontiguousarray(f.basis.G[1:, 1:]),
-        blocks=tuple(np.array(b) - 2 for b in blocks),  # b_j is column j - 2
+        pairs=tuple((j - 2, k - 2) for j, k in comparators(schedule)),
         W=f.basis.Ginv[1:, 1:].T @ f.A[plane].T,
         bias=f.c[plane],
         group=group,
@@ -212,19 +179,15 @@ def fold_first(basis: lat.OrientedBasis) -> FoldedBoundary:
 def sort_fold(ff: FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
     """c of each point's fold image: y~ Gt^T sorted descending per block.
 
-    Computed with points as columns: C^T = Gt Y~^T, then within each block,
-    for its indices j < k in ascending order (the order of the family
-    schedules), the compare-exchange c_j <- max, c_k <- min on whole rows.
-    That is a selection sort, so it sorts any block. Returns the (N, n-1)
-    transposed view of C^T."""
+    Computed with points as columns: C^T = Gt Y~^T, then for each pair
+    (j, k) of `ff.pairs` the compare-exchange c_j <- max, c_k <- min on
+    whole rows. Returns the (N, n-1) transposed view of C^T."""
     Ct = ff.Gt @ np.atleast_2d(np.asarray(Yt, dtype=float)).T
     low = np.empty(Ct.shape[1])
-    for blk in ff.blocks:
-        for a, j in enumerate(blk.tolist()):
-            for k in blk[a + 1 :].tolist():
-                np.minimum(Ct[j], Ct[k], out=low)
-                np.maximum(Ct[j], Ct[k], out=Ct[j])
-                Ct[k] = low
+    for j, k in ff.pairs:
+        np.minimum(Ct[j], Ct[k], out=low)
+        np.maximum(Ct[j], Ct[k], out=Ct[j])
+        Ct[k] = low
     return Ct.T
 
 

@@ -3,12 +3,13 @@
 Networks are explicit layer stacks: translation blocks that reduce the
 extended box into the base cell, compare-exchange units that sort the
 fold-first coordinates c (the fold onto the non-negative side of the
-schedule hyperplanes), a parallel affine stage for the surviving pieces,
-and max/min trees that combine them. Evaluation is
-exact layer-by-layer arithmetic; nothing is trained. Each layer finds the
-units of each activation once, when it is built. `forward` evaluates with
-points as columns, so each layer's output is a (units x points) array, and
-applies the activations in place on its rows.
+schedule hyperplanes, one unit per entry of `folding.comparators`), a
+parallel affine stage for the surviving pieces, and max/min trees that
+combine them. Evaluation is exact layer-by-layer arithmetic; nothing is
+trained. Each layer finds the units of each activation once, when it is
+built. `forward` evaluates with points as columns, so each layer's output
+is a (units x points) array, and applies the activations in place on its
+rows.
 """
 from __future__ import annotations
 
@@ -208,26 +209,26 @@ def _tree_layers(sizes: list[int], combine: str) -> list[Layer]:
     return layers
 
 
-def base_depth(schedule: fold.FoldingSchedule, group_sizes: list[int]) -> int:
-    """Layer count of the base (unextended) network: two per compare-exchange,
-    one piece stage, and two per max/min tree stage."""
-    s = len(schedule)
+def base_depth(steps: int, group_sizes: list[int]) -> int:
+    """Layer count of the base (unextended) network: two per compare-exchange
+    (steps of them), one piece stage, and two per max/min tree stage."""
     gmax = max(group_sizes)
     g = len(group_sizes)
-    return 2 * s + 1 + 2 * math.ceil(math.log2(gmax)) + 2 * math.ceil(math.log2(g))
+    return 2 * steps + 1 + 2 * math.ceil(math.log2(gmax)) + 2 * math.ceil(math.log2(g))
 
 
 def synthesize(
     basis: lat.OrientedBasis,
-    schedule: fold.FoldingSchedule,
+    schedule: fold.Schedule,
     f: bnd.BoundaryFunction,
     M: int = 0,
 ) -> Network:
     """Build the full network: M translation blocks, then on the fold-first
     coordinates c = y~ Gt^T of `folding.build_folded_boundary` one
-    compare-exchange per schedule step (c_j <- max, c_k <- min), the
-    surviving-piece affine stage, and per-group max trees feeding a min tree.
-    In c step (j, k) is the reflection across the bisector of b_j and b_k.
+    compare-exchange per pair (j, k) of its `pairs` (c_j <- max, c_k <- min),
+    the list `folding.sort_fold` runs, then the surviving-piece affine stage
+    and per-group max trees feeding a min tree. In y~ each compare-exchange
+    is the reflection across the bisector of b_{j+2} and b_{k+2}.
     The first of these layers absorbs the map to c: for M >= 1 the input is
     the full n-vector, for M = 0 the projected (n-1)-vector."""
     if M < 0:
@@ -252,8 +253,8 @@ def synthesize(
         layers.extend(translation_block(basis, level, M).layers)
 
     base: list[Layer] = []
-    for step in schedule.steps:
-        base += _max_min(n - 1, [(step.j - 2, step.k - 2)], ("max", "min"), TAG_REFLECTION)
+    for pair in ff.pairs:
+        base += _max_min(n - 1, [pair], ("max", "min"), TAG_REFLECTION)
     base.append(Layer(ff.W.T, ff.bias, (ACT_IDENTITY,) * len(ff.bias), tag=TAG_PIECES))
     base += _tree_layers(sizes, "max")
     base += _tree_layers([len(sizes)], "min")
@@ -262,7 +263,7 @@ def synthesize(
     to_c = f.basis.G[1:, 1 if M == 0 else 0 :]
     base[0] = Layer(first.W @ to_c, first.b, first.acts, tag=first.tag)
 
-    expected = 3 * M + base_depth(schedule, sizes)
+    expected = 3 * M + base_depth(len(ff.pairs), sizes)
     if len(layers) + len(base) != expected:
         raise InternalCheckError(
             f"depth bookkeeping broke: {len(layers) + len(base)} layers, "
@@ -276,7 +277,7 @@ def synthesize(
         "activations": [a for a in ACTIVATIONS if any(a in l.acts for l in all_layers)],
         "provenance": {
             "translation_blocks": M,
-            "reflection_blocks": len(schedule),
+            "reflection_blocks": len(ff.pairs),
             "pieces": len(ff.group),
             "groups": len(sizes),
             "family": basis.fid.family,

@@ -199,12 +199,14 @@ def reference_certify_pieces(f: bnd.BoundaryFunction) -> np.ndarray:
     return margin >= bnd.DECODE_TOL
 
 
-def reference_sort_fold(ff: fld.FoldedBoundary, Yt: np.ndarray) -> np.ndarray:
+def reference_sort_fold(basis: lat.OrientedBasis, Yt: np.ndarray) -> np.ndarray:
     """`folding.sort_fold` by its original route, with points as rows:
-    C = y~ Gt^T, then each block's columns sorted descending by np.sort."""
-    C = np.atleast_2d(np.asarray(Yt, dtype=float)) @ ff.Gt.T
-    for blk in ff.blocks:
-        C[:, blk] = -np.sort(-C[:, blk], axis=1)
+    C = y~ Gt^T, then the columns of each `build_schedule` block sorted
+    descending by np.sort, not by the comparators."""
+    C = np.atleast_2d(np.asarray(Yt, dtype=float)) @ basis.G[1:, 1:].T
+    for blk in fld.build_schedule(basis.fid, basis):
+        cols = np.array(blk) - 2  # b_j is column j - 2
+        C[:, cols] = -np.sort(-C[:, cols], axis=1)
     return C
 
 
@@ -219,7 +221,7 @@ def sample_folded_domain(
 def folded_piece_count_oracle(
     basis: lat.OrientedBasis,
     f: bnd.BoundaryFunction,
-    schedule: fld.FoldingSchedule,
+    schedule: fld.Schedule,
     samples: int = 60_000,
     seed: int = 0,
 ) -> int:
@@ -258,7 +260,7 @@ _STATED_SKETCH = {
 def folded_count_report(
     basis: lat.OrientedBasis,
     f: bnd.BoundaryFunction,
-    schedule: fld.FoldingSchedule,
+    schedule: fld.Schedule,
     densities: tuple[int, int] = (20_000, 60_000),
     seed: int = 0,
 ) -> dict:

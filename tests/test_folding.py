@@ -58,20 +58,22 @@ def fold(basis, f, sched, Yt):
     return fo.sort_fold(fo.build_folded_boundary(f, sched), Yt) @ basis.Ginv[1:, 1:].T
 
 
-def normal(basis, step):
-    """The step's hyperplane normal b_j - b_k on coordinates 2..n."""
-    return basis.G[step.j - 1, 1:] - basis.G[step.k - 1, 1:]
+def normal(basis, j, k):
+    """The hyperplane normal b_j - b_k of comparator (j, k) on coordinates 2..n."""
+    return basis.G[j - 1, 1:] - basis.G[k - 1, 1:]
 
 
 def on_folded_side(basis, sched, Yt):
-    """Mask: on the non-negative side of every schedule hyperplane, up to
+    """Mask: on the non-negative side of every comparator's hyperplane, up to
     GEOM_TOL."""
-    return np.all([Yt @ normal(basis, s) >= -lat.GEOM_TOL for s in sched.steps], axis=0)
+    return np.all(
+        [Yt @ normal(basis, j, k) >= -lat.GEOM_TOL for j, k in fo.comparators(sched)], axis=0
+    )
 
 
 def reflection_image(basis, f, sched, Yt):
     """c of each point after the compare-exchange layers of the M = 0
-    network, the paper's ReLU fold; with no step the piece layer absorbs the
+    network, the paper's ReLU fold; with no comparator the piece layer absorbs the
     map to c, and c is y~ Gt^T."""
     layers = net.synthesize(basis, sched, f, M=0).layers
     stage = tuple(l for l in layers if l.tag == net.TAG_REFLECTION)
@@ -88,7 +90,7 @@ def test_schedule_counts(family, n, count):
     fid = FamilyId(family, n)
     basis = lat.build_basis(fid)
     sched = fo.build_schedule(fid, basis)
-    assert len(sched) == count
+    assert len(fo.comparators(sched)) == count
 
 
 def test_schedule_count_binomials():
@@ -98,12 +100,12 @@ def test_schedule_count_binomials():
                 continue
             fid = FamilyId(family, n)
             sched = fo.build_schedule(fid, lat.build_basis(fid))
-            assert len(sched) == math.comb(n - shift, 2)
+            assert len(fo.comparators(sched)) == math.comb(n - shift, 2)
     for n in range(6, 9):
         fid = FamilyId("en", n)
-        sched = fo.build_schedule(fid, lat.build_basis(fid))
-        assert len(sched) == math.comb(n - 3, 2) + 1
-        assert (sched.steps[0].j, sched.steps[0].k) == (2, 3)
+        pairs = fo.comparators(fo.build_schedule(fid, lat.build_basis(fid)))
+        assert len(pairs) == math.comb(n - 3, 2) + 1
+        assert pairs[0] == (2, 3)
 
 
 def test_schedule_normals_are_basis_differences():
@@ -112,12 +114,12 @@ def test_schedule_normals_are_basis_differences():
     _, basis, _, sched = make("en", 6)
     Yt = lat.sample_domain(basis, seed=0, count=500)
     C = Yt @ basis.G[1:, 1:].T
-    for step in sched.steps:
-        assert basis.G[step.j - 1, 0] - basis.G[step.k - 1, 0] == 0.0
-        v = normal(basis, step)
+    for j, k in fo.comparators(sched):
+        assert basis.G[j - 1, 0] - basis.G[k - 1, 0] == 0.0
+        v = normal(basis, j, k)
         mirrored = Yt - np.outer(2 * (Yt @ v) / (v @ v), v)
         swapped = C.copy()
-        swapped[:, [step.j - 2, step.k - 2]] = C[:, [step.k - 2, step.j - 2]]
+        swapped[:, [j - 2, k - 2]] = C[:, [k - 2, j - 2]]
         np.testing.assert_allclose(mirrored @ basis.G[1:, 1:].T, swapped, rtol=0, atol=1e-12)
 
 
@@ -135,7 +137,7 @@ def test_apply_fold_identity_on_folded_points():
 def test_apply_fold_single_reflection_same_orbit():
     _, basis, f, sched = make("an", 4)
     Yt = lat.sample_domain(basis, seed=1, count=500)
-    v = normal(basis, sched.steps[2])
+    v = normal(basis, *fo.comparators(sched)[2])
     mirrored = Yt - np.outer(2 * (Yt @ v) / (v @ v), v)
     a = fold(basis, f, sched, Yt)
     b = fold(basis, f, sched, mirrored)
@@ -144,31 +146,32 @@ def test_apply_fold_single_reflection_same_orbit():
 
 @pytest.mark.parametrize("family,n", sorted(FOLDED_STRUCTURE))
 def test_apply_fold_output_satisfies_predicate(family, n):
-    # in c the sort meets every step's inequality c_j >= c_k exactly, and it
-    # only permutes c within each block
+    # in c the sort meets every comparator's inequality c_j >= c_k exactly,
+    # and it only permutes c within each block
     _, basis, f, sched = make(family, n)
     ff = fo.build_folded_boundary(f, sched)
     Yt = lat.sample_domain(basis, seed=2, count=1_000)
     C = fo.sort_fold(ff, Yt)
-    for step in sched.steps:
-        assert (C[:, step.j - 2] >= C[:, step.k - 2]).all()
+    for j, k in fo.comparators(sched):
+        assert (C[:, j - 2] >= C[:, k - 2]).all()
     C0 = Yt @ ff.Gt.T
-    free = [c for c in range(n - 1) if not any(c in blk for blk in ff.blocks)]
+    free = [c for c in range(n - 1) if not any(c + 2 in blk for blk in sched)]
     assert np.array_equal(C[:, free], C0[:, free])
-    for blk in ff.blocks:
-        assert np.array_equal(np.sort(C[:, blk], axis=1), np.sort(C0[:, blk], axis=1))
+    for blk in sched:
+        cols = np.array(blk) - 2
+        assert np.array_equal(np.sort(C[:, cols], axis=1), np.sort(C0[:, cols], axis=1))
 
 
 def test_single_pass_reaches_fixpoint():
     """A second reference for the fold, written out: one sweep of the
-    schedule's reflections, in schedule order, lands every point on the
+    comparators' reflections, in comparator order, lands every point on the
     sort's image."""
     for family, n in [("an", 6), ("dn-const-a", 6), ("dn-second", 6), ("en", 8)]:
         _, basis, f, sched = make(family, n)
         Yt = lat.sample_domain(basis, seed=3, count=1_000)
         out = Yt.copy()
-        for step in sched.steps:
-            v = normal(basis, step)
+        for j, k in fo.comparators(sched):
+            v = normal(basis, j, k)
             dot = out @ v
             mask = dot < 0.0
             out[mask] -= np.outer(2 * dot[mask] / (v @ v), v)
@@ -179,7 +182,7 @@ def test_apply_fold_scalar_and_empty_schedule():
     _, basis, f, sched = make("dn-second", 3)
     assert len(sched) == 0
     ff = fo.build_folded_boundary(f, sched)
-    assert ff.blocks == ()
+    assert ff.pairs == ()
     yt = np.array([0.3, -0.4])
     np.testing.assert_allclose(fold(basis, f, sched, yt), [yt], rtol=0, atol=1e-15)
     _, basis4, f4, sched4 = make("dn-second", 4)
@@ -318,14 +321,15 @@ CHAMBER_SIZE = {
     + [("en", n) for n in (6, 7, 8)],
 )
 def test_chamber_corners_pass_the_integer_step_test(family, n):
-    # the corners z gram (e_j - e_k) >= 0 for every step (j, k), in the
+    # the corners z gram (e_j - e_k) >= 0 for every comparator (j, k), in the
     # lexicographic order of all 2^n corners
     fid = FamilyId(family, n)
     basis = lat.build_basis(fid)
     sched = fo.build_schedule(fid, basis)
     z = lat.enumerate_corners(basis).z
     gram = np.asarray(basis.gram)
-    rows = np.array([gram[s.j - 1] - gram[s.k - 1] for s in sched.steps]).reshape(-1, n)
+    rows = np.array([gram[j - 1] - gram[k - 1] for j, k in fo.comparators(sched)])
+    rows = rows.reshape(-1, n)
     chamber = fo.chamber_corners(basis, sched)
     assert np.array_equal(chamber, z[(z @ rows.T >= 0).all(axis=1)])
     assert len(chamber) == CHAMBER_SIZE[family](n)
@@ -413,35 +417,32 @@ def test_sort_is_the_fold(family, n):
 @pytest.mark.parametrize(
     "family,n,blocks",
     [
-        ("an", 1, []),
-        ("an", 2, []),
-        ("an", 6, [[2, 3, 4, 5, 6]]),
-        ("dn-const-a", 5, [[2, 3, 4, 5]]),
-        ("dn-second", 3, []),
-        ("dn-second", 6, [[3, 4, 5, 6]]),
-        ("en", 8, [[2, 3], [4, 5, 6, 7, 8]]),
+        ("an", 1, ()),
+        ("an", 2, ()),
+        ("an", 6, ((2, 3, 4, 5, 6),)),
+        ("dn-const-a", 5, ((2, 3, 4, 5),)),
+        ("dn-second", 3, ()),
+        ("dn-second", 6, ((3, 4, 5, 6),)),
+        ("en", 8, ((2, 3), (4, 5, 6, 7, 8))),
     ],
 )
 def test_fold_first_blocks_are_schedule_components(family, n, blocks):
+    """The schedule is the family's blocks, and the fold-first pairs are its
+    comparators on the columns of c: per block, j ascending, then k."""
     _, _, f, sched = make(family, n)
-    got = fo.build_folded_boundary(f, sched).blocks
-    assert sorted((blk + 2).tolist() for blk in got) == blocks
+    assert sched == blocks
+    pairs = [(j - 2, k - 2) for blk in blocks for j in blk for k in blk if j < k]
+    assert fo.build_folded_boundary(f, sched).pairs == tuple(pairs)
+    if family == "en":
+        assert pairs[:3] == [(0, 1), (2, 3), (2, 4)]
 
 
-@pytest.mark.parametrize(
-    "family,n,pairs",
-    [
-        ("dn-second", 4, [(2, 3)]),  # gram[0,1] = 0 but gram[0,2] = 1
-        ("an", 3, [(1, 2)]),  # b_1 leaves the projected domain
-        ("an", 4, [(3, 2)]),  # j > k would sort ascending
-        ("an", 4, [(2, 4), (3, 4)]),  # block {2,3,4} lacks (2,3): no sort
-    ],
-)
-def test_fold_first_rejects_steps_that_are_not_a_sort(family, n, pairs):
-    _, basis, f, _ = make(family, n)
-    steps = tuple(fo.FoldStep(j=j, k=k) for j, k in pairs)
+def test_build_schedule_rejects_a_basis_its_fold_does_not_swap():
+    # dn-second 4 has gram[0,1] = 0 but gram[0,2] = 1, so swapping b_2 and
+    # b_3, the first comparator of an 4, changes its Gram
+    other = lat.build_basis(FamilyId("dn-second", 4))
     with pytest.raises(ConstructionError):
-        fo.build_folded_boundary(f, fo.FoldingSchedule(steps=steps))
+        fo.build_schedule(FamilyId("an", 4), other)
 
 
 def test_folded_oracle_small():

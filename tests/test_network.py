@@ -151,16 +151,6 @@ def test_compare_exchange_idempotent():
     assert np.abs(net.forward(block, once) - once).max() <= 1e-12
 
 
-@pytest.mark.parametrize("pairs", [[(1, 2)], [(3, 2)], [(2, 4), (3, 4)]])
-def test_synthesize_rejects_steps_that_are_not_a_sort(pairs):
-    # b_1 leaves the projected domain; j > k would sort ascending; block
-    # {2,3,4} lacks (2,3)
-    basis, f, _ = make("an", 4)
-    sched = fo.FoldingSchedule(steps=tuple(fo.FoldStep(j=j, k=k) for j, k in pairs))
-    with pytest.raises(ConstructionError):
-        net.synthesize(basis, sched, f, M=0)
-
-
 def test_translation_block_shape_and_levels():
     basis = lat.build_basis(FamilyId("an", 3))
     block = net.translation_block(basis, level=1, M=2)
@@ -262,7 +252,7 @@ def test_depth_formula_frozen(family, n, depth):
     assert nw.meta["depth"] == depth
     memberships = fo.folded_structure(f, sched)
     sizes = list(Counter(memberships[:, 0].tolist()).values())
-    assert depth == net.base_depth(sched, sizes)
+    assert depth == net.base_depth(len(fo.comparators(sched)), sizes)
 
 
 @pytest.mark.parametrize(
