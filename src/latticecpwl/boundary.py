@@ -11,7 +11,6 @@ collapse the same way).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,37 +33,28 @@ EVAL_CHUNK = 32
 # 10k points they break even between 57 and 112 memberships, n = 5 and 6)
 NEAR_MEMBERSHIPS = 100
 
-PlaneKey = tuple[tuple[int, ...], int]  # (difference z-vector, 2p as integer)
-
 
 @dataclass(frozen=True, eq=False)
 class BoundaryFunction:
-    """Evaluation structure for f(ytilde) = min_groups max_members h_j(ytilde).
+    """f(ytilde) = min_groups max_members h_j(ytilde), as the arrays its
+    evaluators read: row j of A and c is the piece of plane j.
 
-    Planes are deduplicated by exact integer keys; groups are deduplicated as
-    whole sets. Row m of `memberships` is the pair (group g, plane p), laid
-    out in (g, p) order, so each group's rows are contiguous; eval reports
-    the active membership id, so distinct active ids over the domain count
-    pieces. `pair_memb` holds the membership of each neighbor pair (the group
-    of its C^1 endpoint, the plane of its bisector); every membership has at
-    least one pair. All of it is read by the dense oracle and membership-id
-    route `eval_boundary_batch`; `folding.FoldedBoundary` serves points.
-    `build_boundary` fills every field in one array pass over blocks of C^1
-    rows (about 2^20 corner pairs each); only the corner merge and the rows
-    of V loop in Python.
+    Planes are deduplicated by exact integer keys, groups as whole sets. Row
+    m of `memberships` is the pair (group g, plane p), laid out in (g, p)
+    order, so each group's rows are contiguous; eval reports the active
+    membership id, so distinct active ids over the domain count pieces.
+    `pair_memb` holds the membership of each neighbor pair (the group of its
+    C^1 endpoint, the plane of its bisector); every membership has a pair,
+    and pairs come corner by corner. The dense oracle `eval_boundary_batch`
+    reads all of it; `folding.FoldedBoundary` serves points.
     """
 
     basis: OrientedBasis
-    plane_keys: tuple[PlaneKey, ...]
-    V: np.ndarray  # (P, n) plane normals v = (x - x') G
-    p: np.ndarray  # (P,) plane offsets
     A: np.ndarray  # (P, n-1) piece gradients a = -vtilde / v_1
     c: np.ndarray  # (P,) piece biases p / v_1
-    group_planes: tuple[tuple[int, ...], ...]  # sorted plane ids per merged group
-    group_corner_z: tuple[tuple[tuple[int, ...], ...], ...]  # corners sharing each group
+    memberships: np.ndarray  # (Pm, 2) int, (group id, plane id) in (g, p) order
     pair_x: np.ndarray  # (Np, n) int, C^1 endpoint of each neighbor pair
     pair_xp: np.ndarray  # (Np, n) int, C^0 endpoint
-    memberships: np.ndarray  # (Pm, 2) int, (group id, plane id) in (g, p) order
     pair_memb: np.ndarray  # (Np,) membership id per pair
 
 
@@ -88,7 +78,7 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
     no key is packed into one integer at any n. Corners merge by their sorted
     plane-id tuples, which also order the groups; a pair's membership id is
     its group's start plus its plane's rank in the group. Only the merge (per
-    corner) and V (per plane) loop in Python.
+    corner) and the normals v (per plane) loop in Python.
     """
     gram = basis.gram
     if z is None:
@@ -121,15 +111,11 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
     keys = key_rows[first[order]]
 
     # merge corners whose whole sorted plane-id tuples coincide
-    corner_ids, starts, counts = np.unique(pair_corner, return_index=True, return_counts=True)
+    _, starts, counts = np.unique(pair_corner, return_index=True, return_counts=True)
     by_corner = np.lexsort((pair_plane, pair_corner))
     flat = pair_plane[by_corner].tolist()
     corner_planes = [tuple(flat[a : a + k]) for a, k in zip(starts.tolist(), counts.tolist())]
-    merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for zx, planes in zip(c1[corner_ids].tolist(), corner_planes):
-        merged.setdefault(planes, []).append(tuple(zx))
-    group_planes = tuple(sorted(merged))
-    group_corner_z = tuple(tuple(sorted(merged[g])) for g in group_planes)
+    group_planes = sorted(set(corner_planes))
     group_of = {g: gi for gi, g in enumerate(group_planes)}
     sizes = np.array([len(g) for g in group_planes], dtype=np.int64)
     group_start = np.cumsum(sizes) - sizes
@@ -138,29 +124,18 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
     pair_memb[by_corner] = np.arange(len(pair_plane)) + np.repeat(corner_start - starts, counts)
     memberships = np.column_stack([
         np.repeat(np.arange(len(group_planes), dtype=np.int64), sizes),
-        np.fromiter(itertools.chain.from_iterable(group_planes), dtype=np.int64),
+        np.array([pl for g in group_planes for pl in g], dtype=np.int64),
     ])
 
-    plane_keys = tuple((tuple(k[:-1]), k[-1]) for k in keys.tolist())
     # one row per plane: a stacked D @ G can round differently in the last bit
     V = np.array([row @ basis.G for row in keys[:, :-1].astype(float)])
-    p = keys[:, -1] / 2.0
-    v1 = V[:, 0]
-    A = -V[:, 1:] / v1[:, None]
-    c = p / v1
-
     f = BoundaryFunction(
         basis=basis,
-        plane_keys=plane_keys,
-        V=V,
-        p=p,
-        A=A,
-        c=c,
-        group_planes=group_planes,
-        group_corner_z=group_corner_z,
+        A=-V[:, 1:] / V[:, :1],
+        c=keys[:, -1] / 2 / V[:, 0],
+        memberships=memberships,
         pair_x=pair_x,
         pair_xp=pair_xp,
-        memberships=memberships,
         pair_memb=pair_memb,
     )
     _check_boundary(f)
@@ -168,23 +143,27 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
 
 
 def _check_boundary(f: BoundaryFunction) -> None:
-    """Construction-time invariants: midpoints on planes, groups smaller than
-    the kissing number, each group's first corner strictly above its cap."""
-    basis = f.basis
-    mid = (f.pair_x + f.pair_xp) @ basis.G / 2.0
-    pair_plane = f.memberships[f.pair_memb, 1]
-    resid = np.abs((mid * f.V[pair_plane]).sum(axis=1) - f.p[pair_plane])
-    if resid.max() > 1e-9:
-        raise InternalCheckError(f"bisector misses pair midpoint by {resid.max():.2e}")
+    """Construction-time invariants, in this order: groups smaller than the
+    kissing number, each group's first corner (the C^1 end of its first
+    pair) strictly above its cap, and each pair's midpoint on its piece,
+    mid_1 = a . mid~ + c (so a plane raised to a corner fails the cap)."""
+    G = f.basis.G
     group, plane = f.memberships.T
     sizes = np.bincount(group)
-    if sizes.max() >= _kissing_formula(basis.fid):
+    if sizes.max() >= _kissing_formula(f.basis.fid):
         raise InternalCheckError("group size reached the kissing number")
-    X = np.array([zs[0] for zs in f.group_corner_z], dtype=float) @ basis.G
+    _, first = np.unique(group[f.pair_memb], return_index=True)
+    X = f.pair_x[first] @ G
     heights = np.einsum("ij,ij->i", X[group, 1:], f.A[plane]) + f.c[plane]
     cap = np.maximum.reduceat(heights, np.cumsum(sizes) - sizes)
     if (X[:, 0] <= cap).any():
         raise InternalCheckError("C^1 corner not strictly above its own cap")
+    mid = (f.pair_x + f.pair_xp) @ G / 2.0
+    pair_plane = plane[f.pair_memb]
+    piece = np.einsum("ij,ij->i", mid[:, 1:], f.A[pair_plane]) + f.c[pair_plane]
+    resid = np.abs(mid[:, 0] - piece)
+    if resid.max() > 1e-9:
+        raise InternalCheckError(f"bisector misses pair midpoint by {resid.max():.2e}")
 
 
 def _kissing_formula(fid: FamilyId) -> int:
@@ -225,16 +204,16 @@ def _height_blocks(X: np.ndarray, W: np.ndarray, bias: np.ndarray):
 
 
 def _ranked(group: np.ndarray, column: np.ndarray):
-    """The groups' columns for the rank-at-a-time reductions: (starts, table,
-    ranked, back, larger). Row g of table holds group g's columns by rank,
-    padded by repeating its last one; ranked is table with the groups
-    largest first, back the order that restores group order, and
-    larger[r - 1] the number of groups with more than r members."""
+    """The groups' columns for the rank-at-a-time reductions: (ranked, back,
+    larger). Row g of the table holds group g's columns by rank, padded by
+    repeating its last one; ranked is that table with the groups largest
+    first, back the order that restores group order, and larger[r - 1] the
+    number of groups with more than r members."""
     _, starts, sizes = np.unique(group, return_index=True, return_counts=True)
     table = column[starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
     order = np.argsort(-sizes, kind="stable")
     larger = (sizes > np.arange(1, table.shape[1])[:, None]).sum(axis=1).tolist()
-    return starts, table, table[order], np.argsort(order), larger
+    return table[order], np.argsort(order), larger
 
 
 def _group_reduce(op, rows: np.ndarray, ranked: np.ndarray, larger: list[int]) -> np.ndarray:
@@ -248,41 +227,29 @@ def _group_reduce(op, rows: np.ndarray, ranked: np.ndarray, larger: list[int]) -
 
 
 def _min_max(
-    X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray,
-    ids: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray
+) -> np.ndarray:
     """The min-max kernel of both evaluators: per row of X, the min over groups
     of the max over their members' heights (X W + bias)[column], members in
-    ascending `group` order. Returns the values alone; with ids, which only
-    `eval_boundary_batch` asks for, (values, first argmin-of-argmax member).
-    Points go as columns: each block of `_height_blocks` is in the
-    (columns x points) layout, so every step after it reads contiguous rows.
-    The group maxima gather a float row per membership (`_group_reduce`);
-    the values are the min over them in rank order, so only the ids map
-    them back to group order. Where a value within a tolerance is at hand,
+    ascending `group` order. Points go as columns: each block of
+    `_height_blocks` is in the (columns x points) layout, so every step after
+    it reads contiguous rows. The group maxima gather a float row per
+    membership (`_group_reduce`) and the values are the min over them, in
+    rank order. Where a value within a tolerance is at hand,
     `_min_max_near` gives the same values from packed bits per column."""
-    starts, table, ranked, back, larger = _ranked(group, column)
-    count = X.shape[0]
-    vals, act = np.empty(count), np.empty(count, dtype=np.int64)
+    ranked, _, larger = _ranked(group, column)
+    vals = np.empty(X.shape[0])
     for lo, hi, Ht in _height_blocks(X, W, bias):
-        gmax = _group_reduce(np.maximum, Ht, ranked, larger)
-        if not ids:
-            gmax.min(axis=0, out=vals[lo:hi])
-            continue
-        gmax = gmax[back]
-        g = gmax.argmin(axis=0)
-        rows = np.arange(hi - lo)
-        vals[lo:hi] = gmax[g, rows]
-        act[lo:hi] = starts[g] + Ht[table[g], rows[:, None]].argmax(axis=1)
-    return (vals, act) if ids else vals
+        _group_reduce(np.maximum, Ht, ranked, larger).min(axis=0, out=vals[lo:hi])
+    return vals
 
 
 def _min_max_near(
     X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray,
     t: np.ndarray, tol: float,
 ) -> np.ndarray:
-    """`_min_max`'s values (without ids), bit for bit, given a candidate t per
-    row of X that is within tol of its value.
+    """`_min_max`'s values, bit for bit, given a candidate t per row of X
+    that is within tol of its value.
 
     A row's value is certified to be the height v of the one column whose
     height lies in the band [t - tol, t + tol] when some group has no member
@@ -298,7 +265,7 @@ def _min_max_near(
     itself."""
     if len(group) < NEAR_MEMBERSHIPS:
         return _min_max(X, W, bias, group, column)
-    _, _, ranked, _, larger = _ranked(group, column)
+    ranked, _, larger = _ranked(group, column)
     floor, ceil = t - tol, t + tol
     count = X.shape[0]
     vals, ok = np.empty(count), np.empty(count, dtype=bool)
@@ -344,15 +311,24 @@ def eval_boundary_batch(
     f: BoundaryFunction, Yt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense f evaluation over every membership (the oracle of the fold-first
-    `folding.eval_folded_batch`): (values, active membership ids) from
-    `_min_max` over the per-plane heights Yt A^T + c. Its first-minimum/
-    first-maximum rule realizes the smallest-id tie-break because memberships
-    are laid out in (group, plane) order with plane ids ascending. This is the
-    one caller that gets the ids; the dense side of
-    `folding.verify_fold_invariance` gets the same values from
-    `_min_max_near`."""
+    `folding.eval_folded_batch`): (values, active membership ids), values
+    from `_min_max` over the per-plane heights Yt A^T + c. A point's id is
+    the first membership whose height equals its value in a group with no
+    member above it: the first group whose max is the value, at its first
+    top member. The heights and group maxima are recomputed as `_min_max`
+    computes them, in the same blocks, so the equalities are exact."""
     Yt = np.atleast_2d(np.asarray(Yt, dtype=float))
-    return _min_max(Yt, f.A.T, f.c, *f.memberships.T, ids=True)
+    group, plane = f.memberships.T
+    vals = _min_max(Yt, f.A.T, f.c, group, plane)
+    ranked, back, larger = _ranked(group, plane)
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    ids = np.empty(len(vals), dtype=np.int64)
+    for lo, hi, Ht in _height_blocks(Yt, f.A.T, f.c):
+        v = vals[lo:hi]
+        g = (_group_reduce(np.maximum, Ht, ranked, larger)[back] == v).argmax(axis=0)
+        top = Ht[ranked[back[g]], np.arange(hi - lo)[:, None]] == v[:, None]
+        ids[lo:hi] = starts[g] + top.argmax(axis=1)
+    return vals, ids
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +401,7 @@ def certify_pieces(f: BoundaryFunction) -> np.ndarray:
     is set.
     """
     group, plane = f.memberships.T
-    _, _, ranked, back, larger = _ranked(group, plane)
+    ranked, back, larger = _ranked(group, plane)
     _, first = np.unique(f.pair_memb, return_index=True)
     W = ((f.pair_x[first] + f.pair_xp[first]) @ f.basis.G / 2.0)[:, 1:]
     certified = np.empty(len(group), dtype=bool)

@@ -144,19 +144,18 @@ def _check_orientation(basis: OrientedBasis) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CornerSet:
-    """The 2^n corners of P(B): integer labels z in {0,1}^n and points x = zG."""
+    """The 2^n corners zG of P(B), by their integer labels z in {0,1}^n."""
 
     z: np.ndarray  # (2^n, n) int64, lexicographically ordered
-    x: np.ndarray  # (2^n, n) float
 
 
 def enumerate_corners(basis: OrientedBasis) -> CornerSet:
-    """All corners zG for z in {0,1}^n."""
+    """The labels of all corners zG, z in {0,1}^n."""
     n = basis.n
     if n > CORNER_CAP:
         raise ResourceError(f"corner enumeration capped at n <= {CORNER_CAP}, got {n}")
     z = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
-    return CornerSet(z=z, x=z @ basis.G)
+    return CornerSet(z=z)
 
 
 def cvp_corners_batch(basis: OrientedBasis, Y: np.ndarray) -> np.ndarray:
@@ -167,8 +166,7 @@ def cvp_corners_batch(basis: OrientedBasis, Y: np.ndarray) -> np.ndarray:
     table stays near 8 MB at any n; callers map rows to z via
     enumerate_corners(basis).z[rows].
     """
-    corners = enumerate_corners(basis)
-    X = corners.x
+    X = enumerate_corners(basis).z @ basis.G
     x2 = (X**2).sum(axis=1)
     out = np.empty(Y.shape[0], dtype=np.int64)
     step = max(1, (1 << 20) // len(X))

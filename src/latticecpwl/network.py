@@ -277,7 +277,7 @@ def synthesize(
         "activations": [a for a in ACTIVATIONS if any(a in l.acts for l in all_layers)],
         "provenance": {
             "translation_blocks": M,
-            "reflection_blocks": len(ff.pairs),
+            "comparators": len(ff.pairs),
             "pieces": len(ff.group),
             "groups": len(sizes),
             "family": basis.fid.family,

@@ -4,7 +4,8 @@ Brute-force nearest-point search and shell enumeration for the lattices,
 the decode-error estimate by brute-force nearest-corner search and, for the
 simplex family at any rank, by the sorted nearest-corner decoder,
 membership and the bounding box of the projected domain D(B), a Lipschitz
-constant of f, sampled folded-domain counts with the stated
+constant of f, the plane keys, group planes and group corners of f
+derived from its pair arrays, sampled folded-domain counts with the stated
 folded constants beside them, the reduction of extended-box points
 into the base cell, the fold as a sort of point rows, the layer-by-layer
 reference forward of a network, the line-by-line point-file reader, and
@@ -164,14 +165,37 @@ def domain_bbox(basis: lat.OrientedBasis) -> tuple[np.ndarray, np.ndarray]:
     D(B) is the projection of a parallelotope, i.e. a zonotope; coordinate
     extremes are attained at projected corners, so the corner hull box is exact.
     """
-    corners = lat.enumerate_corners(basis)
-    proj = corners.x[:, 1:]
+    proj = (lat.enumerate_corners(basis).z @ basis.G)[:, 1:]
     return proj.min(axis=0), proj.max(axis=0)
 
 
 def lipschitz_bound(f: bnd.BoundaryFunction) -> float:
     """max over planes of ||vtilde|| / |v . e_1|, a Lipschitz constant for f."""
     return float(np.sqrt((f.A**2).sum(axis=1)).max()) if len(f.A) else 0.0
+
+
+def boundary_structure(f: bnd.BoundaryFunction) -> tuple[tuple, tuple, tuple]:
+    """(plane_keys, group_planes, group_corner_z) of f, derived from its
+    `memberships`, `pair_memb`, `pair_x` and `pair_xp`: per plane id its
+    integer key (difference z-vector d, 2p = 2 z' gram d + d gram d), per
+    group its plane ids ascending, and per group its C^1 corners in
+    lexicographic order. Every pair of a plane must give it the same key."""
+    gram = f.basis.gram
+    group, plane = f.memberships.T
+    d = f.pair_x - f.pair_xp
+    two_p = 2 * np.einsum("ij,jk,ik->i", f.pair_xp, gram, d) + np.einsum("ij,jk,ik->i", d, gram, d)
+    keys: dict[int, tuple] = {}
+    corners: dict[int, set] = {}
+    for x, dd, tp, m in zip(f.pair_x.tolist(), d.tolist(), two_p.tolist(), f.pair_memb.tolist()):
+        key = (tuple(dd), tp)
+        assert keys.setdefault(int(plane[m]), key) == key
+        corners.setdefault(int(group[m]), set()).add(tuple(x))
+    group_planes = np.split(plane, np.flatnonzero(np.diff(group)) + 1)
+    return (
+        tuple(keys[p] for p in range(len(keys))),
+        tuple(tuple(planes.tolist()) for planes in group_planes),
+        tuple(tuple(sorted(corners[g])) for g in range(len(group_planes))),
+    )
 
 
 def reference_certify_pieces(f: bnd.BoundaryFunction) -> np.ndarray:

@@ -31,6 +31,11 @@ def a3():
     return basis, bd.build_boundary(basis)
 
 
+def group_planes(f):
+    """Each group's plane ids, ascending."""
+    return oracles.boundary_structure(f)[1]
+
+
 def neighbors(f, x):
     """C^0 endpoints of the neighbor pairs whose C^1 endpoint is x."""
     pairs = zip(f.pair_x.tolist(), f.pair_xp.tolist())
@@ -53,24 +58,25 @@ def test_neighbors_dn_second_examples():
 def test_build_boundary_a2_groups():
     basis = lat.build_basis(FamilyId("an", 2))
     f = bd.build_boundary(basis)
-    assert sorted(len(g) for g in f.group_planes) == [1, 2]
+    assert sorted(len(g) for g in group_planes(f)) == [1, 2]
     assert len(f.memberships) == 3
 
 
 def test_build_boundary_a3_structure(a3):
     _, f = a3
-    assert len(f.group_planes) == 4
-    assert sorted(len(g) for g in f.group_planes) == [1, 2, 2, 3]
+    plane_keys, planes, _ = oracles.boundary_structure(f)
+    assert len(planes) == 4
+    assert sorted(len(g) for g in planes) == [1, 2, 2, 3]
     assert len(f.memberships) == 8
     # 8 memberships sit on only 5 distinct hyperplanes
-    assert len(f.plane_keys) == 5
+    assert len(plane_keys) == len(f.A) == 5
 
 
 def test_build_boundary_dn_const_a3_simplex_sizes():
     basis = lat.build_basis(FamilyId("dn-const-a", 3))
     f = bd.build_boundary(basis)
     # two 1-simplices and one 3-simplex; the all-ones corner has no neighbors
-    assert sorted(len(g) for g in f.group_planes) == [1, 1, 3]
+    assert sorted(len(g) for g in group_planes(f)) == [1, 1, 3]
     assert len(f.memberships) == 5
 
 
@@ -79,9 +85,10 @@ def test_build_boundary_dn_second3_merges_chain_corners():
     f = bd.build_boundary(basis)
     # 7 neighbor pairs, two chain corners share their single bisector
     assert f.pair_memb.shape[0] == 7
-    assert sorted(len(g) for g in f.group_planes) == [1, 2, 3]
+    _, planes, corners = oracles.boundary_structure(f)
+    assert sorted(len(g) for g in planes) == [1, 2, 3]
     assert len(f.memberships) == 6
-    merged = [zs for zs in f.group_corner_z if len(zs) == 2]
+    merged = [zs for zs in corners if len(zs) == 2]
     assert len(merged) == 1
 
 
@@ -123,13 +130,14 @@ def test_bisector_through_midpoint(a3):
     basis, f = a3
     mid = (f.pair_x + f.pair_xp) @ basis.G / 2.0
     pair_plane = f.memberships[f.pair_memb, 1]
-    resid = np.abs((mid * f.V[pair_plane]).sum(axis=1) - f.p[pair_plane])
+    resid = np.abs(mid[:, 0] - ((mid[:, 1:] * f.A[pair_plane]).sum(axis=1) + f.c[pair_plane]))
     assert resid.max() <= 1e-9
 
 
 def test_corner_above_own_cap(a3):
     basis, f = a3
-    for planes, zs in zip(f.group_planes, f.group_corner_z):
+    _, planes_per_group, group_corner_z = oracles.boundary_structure(f)
+    for planes, zs in zip(planes_per_group, group_corner_z):
         for z in zs:
             x = np.asarray(z, dtype=float) @ basis.G
             cap = (x[1:] @ f.A[list(planes)].T + f.c[list(planes)]).max()
@@ -155,7 +163,7 @@ def test_eval_values_inside_slab(a3):
     assert np.all(vals <= basis.b1_e1 + 1e-9)
 
 
-def _reference_eval(f, h):
+def _reference_eval(planes_per_group, h):
     """Plain-loop min-of-max with first-occurrence ties, for cross-checking.
 
     Takes the per-plane heights h directly so the comparison isolates the
@@ -164,7 +172,7 @@ def _reference_eval(f, h):
     best_val = None
     best_id = None
     mid = 0
-    for planes in f.group_planes:
+    for planes in planes_per_group:
         gval = None
         gid = None
         for p in planes:
@@ -188,8 +196,9 @@ def test_eval_active_matches_reference():
         Yt = np.vstack([Yt, [(lo + hi) / 2.0]])
         vals, act = bd.eval_boundary_batch(f, Yt)
         H = Yt @ f.A.T + f.c
+        planes = group_planes(f)
         for i in range(Yt.shape[0]):
-            rv, rid = _reference_eval(f, H[i])
+            rv, rid = _reference_eval(planes, H[i])
             assert vals[i] == rv
             assert act[i] == rid
 
@@ -207,8 +216,9 @@ def n8_tie_inputs(family):
 def assert_matches_reference(f, Yt):
     vals, act = bd.eval_boundary_batch(f, Yt)
     H = Yt @ f.A.T + f.c
+    planes = group_planes(f)
     for i in range(Yt.shape[0]):
-        rv, rid = _reference_eval(f, H[i])
+        rv, rid = _reference_eval(planes, H[i])
         assert vals[i] == rv
         assert act[i] == rid
     return vals, act
@@ -305,13 +315,14 @@ def test_certify_working_set_is_bounded(family, n):
 )
 def test_pair_memb_matches_corner_and_plane_key(family, n):
     """Each pair's membership, rebuilt from its upper corner's merged group
-    and its bisector's integer key, is the one build_boundary recorded; every
-    membership has a pair."""
+    and its bisector's integer key, both numbered by the per-pair loop, is
+    the one build_boundary recorded; every membership has a pair."""
     basis = lat.build_basis(FamilyId(family, n))
     f = bd.build_boundary(basis)
     gram = np.asarray(basis.gram, dtype=np.int64)
-    group_of = {z: g for g, zs in enumerate(f.group_corner_z) for z in zs}
-    plane_of = {key: pid for pid, key in enumerate(f.plane_keys)}
+    plane_keys, _, group_corner_z = _reference_build_boundary(basis)[1]
+    group_of = {z: g for g, zs in enumerate(group_corner_z) for z in zs}
+    plane_of = {key: pid for pid, key in enumerate(plane_keys)}
     expected = []
     for x, xp in zip(f.pair_x, f.pair_xp):
         d = x - xp
@@ -325,7 +336,8 @@ def test_pair_memb_matches_corner_and_plane_key(family, n):
 def _reference_build_boundary(basis, z=None):
     """The per-pair loop build_boundary replaced, kept as its oracle: every
     C^1 corner of z (all 2^n by default) against every C^0 corner of z, one
-    dict lookup per pair."""
+    dict lookup per pair. Returns f and the loop's own (plane_keys,
+    group_planes, group_corner_z)."""
     n = basis.n
     gram = basis.gram.astype(np.int64)
     if z is None:
@@ -384,30 +396,25 @@ def _reference_build_boundary(basis, z=None):
     A = -V[:, 1:] / v1[:, None] if len(V) else np.empty((0, max(n - 1, 0)))
     c = p / v1 if len(V) else np.empty(0)
 
-    return bd.BoundaryFunction(
+    ref = bd.BoundaryFunction(
         basis=basis,
-        plane_keys=tuple(keys),
-        V=V,
-        p=p,
         A=A,
         c=c,
-        group_planes=group_planes,
-        group_corner_z=group_corner_z,
+        memberships=np.asarray(memb_rows, dtype=np.int64).reshape(-1, 2),
         pair_x=np.asarray(pair_x, dtype=np.int64).reshape(-1, n),
         pair_xp=np.asarray(pair_xp, dtype=np.int64).reshape(-1, n),
-        memberships=np.asarray(memb_rows, dtype=np.int64).reshape(-1, 2),
         pair_memb=np.asarray(pair_memb, dtype=np.int64),
     )
+    return ref, (tuple(keys), group_planes, group_corner_z)
 
 
-def assert_same_boundary(f, ref):
-    for name in ("V", "p", "A", "c", "pair_x", "pair_xp", "memberships", "pair_memb"):
+def assert_same_boundary(f, reference):
+    ref, structure = reference
+    for name in ("A", "c", "memberships", "pair_x", "pair_xp", "pair_memb"):
         got, want = getattr(f, name), getattr(ref, name)
         assert (got.shape, got.dtype) == (want.shape, want.dtype), name
         assert got.tobytes() == want.tobytes(), name
-    assert f.plane_keys == ref.plane_keys
-    assert f.group_planes == ref.group_planes
-    assert f.group_corner_z == ref.group_corner_z
+    assert oracles.boundary_structure(f) == structure
 
 
 @pytest.mark.parametrize(
@@ -454,7 +461,10 @@ def test_family_bases_meet_what_build_boundary_assumes(family, n):
     assert not (diag % 2).any() and diag.min() == 2
     f = bd.build_boundary(basis)
     assert len(f.memberships) >= 1
-    assert (np.abs(f.V[:, 0]) > lat.GEOM_TOL).all()
+    # every plane has v_1 = (x - x') G e_1 = b1_e1 exactly: d_1 = 1 on every
+    # pair and b_j . e_1 = 0 for j >= 2
+    assert ((f.pair_x - f.pair_xp)[:, 0] == 1).all()
+    assert not basis.G[1:, 0].any()
     det = abs(np.linalg.det(np.cumsum(basis.G, axis=0)))
     assert det == pytest.approx(np.sqrt(np.linalg.det(basis.gram)), rel=1e-12)
 
@@ -475,10 +485,10 @@ def test_check_boundary_accepts_built_f(dn5):
 
 
 def test_check_boundary_rejects_plane_missing_midpoint(dn5):
-    p = dn5.p.copy()
-    p[len(p) // 2] += 1e-6
+    c = dn5.c.copy()
+    c[len(c) // 2] += 1e-6
     with pytest.raises(InternalCheckError, match="midpoint"):
-        bd._check_boundary(dataclasses.replace(dn5, p=p))
+        bd._check_boundary(dataclasses.replace(dn5, c=c))
 
 
 @pytest.mark.parametrize("lift", [1.0, 0.0], ids=["above", "touching"])
@@ -487,15 +497,16 @@ def test_check_boundary_rejects_corner_not_above_its_cap(dn5, lift):
     height plus `lift`: that group's max (not its min) reaches the corner. The
     group has two or more members and is not group 0."""
     use = np.bincount(dn5.memberships[:, 1])
+    _, planes_per_group, group_corner_z = oracles.boundary_structure(dn5)
     g, plane = max(
         (g, pl)
-        for g, planes in enumerate(dn5.group_planes)
+        for g, planes in enumerate(planes_per_group)
         if len(planes) > 1
         for pl in planes
         if use[pl] == 1
     )
     assert g > 0
-    x = np.asarray(dn5.group_corner_z[g][0], dtype=float) @ dn5.basis.G
+    x = np.asarray(group_corner_z[g][0], dtype=float) @ dn5.basis.G
     A, c = dn5.A.copy(), dn5.c.copy()
     A[plane], c[plane] = 0.0, x[0] + lift
     with pytest.raises(InternalCheckError, match="cap"):
@@ -503,7 +514,7 @@ def test_check_boundary_rejects_corner_not_above_its_cap(dn5, lift):
 
 
 def test_check_boundary_rejects_group_at_kissing_number(dn5, monkeypatch):
-    largest = max(len(planes) for planes in dn5.group_planes)
+    largest = max(len(planes) for planes in group_planes(dn5))
     monkeypatch.setattr(bd, "_kissing_formula", lambda fid: largest + 1)
     bd._check_boundary(dn5)
     monkeypatch.setattr(bd, "_kissing_formula", lambda fid: largest)
@@ -616,10 +627,11 @@ def test_piece_connectivity_small_n():
         # ties there resolve to the lowest id, which may sit far from that
         # piece's open cell
         h = pts @ f.A.T + f.c
-        gvals = np.stack([h[:, list(g)].max(axis=1) for g in f.group_planes], axis=1)
+        planes_per_group = group_planes(f)
+        gvals = np.stack([h[:, list(g)].max(axis=1) for g in planes_per_group], axis=1)
         top2 = np.sort(gvals, axis=1)[:, :2]
         interior = (top2[:, 1] - top2[:, 0]) > 1e-9
-        for planes in f.group_planes:
+        for planes in planes_per_group:
             if len(planes) < 2:
                 continue
             hp = np.sort(h[:, list(planes)], axis=1)[:, -2:]

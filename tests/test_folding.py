@@ -224,10 +224,10 @@ def spy_dense(monkeypatch, f):
     over f's memberships (the fold-first side runs it over fewer)."""
     calls, min_max = [], bd._min_max
 
-    def spy(X, W, bias, group, column, ids=False):
+    def spy(X, W, bias, group, column):
         if len(group) == len(f.memberships):
             calls.append(len(X))
-        return min_max(X, W, bias, group, column, ids)
+        return min_max(X, W, bias, group, column)
 
     monkeypatch.setattr(bd, "_min_max", spy)
     return calls
@@ -337,9 +337,10 @@ def test_chamber_corners_pass_the_integer_step_test(family, n):
 
 def plane_key_groups(f, memberships):
     """The groups of the membership rows, each as the set of its plane keys."""
+    plane_keys = oracles.boundary_structure(f)[0]
     groups = {}
     for g, p in memberships.tolist():
-        groups.setdefault(g, set()).add(f.plane_keys[p])
+        groups.setdefault(g, set()).add(plane_keys[p])
     return {frozenset(keys) for keys in groups.values()}
 
 
@@ -426,7 +427,7 @@ def test_sort_is_the_fold(family, n):
         ("en", 8, ((2, 3), (4, 5, 6, 7, 8))),
     ],
 )
-def test_fold_first_blocks_are_schedule_components(family, n, blocks):
+def test_schedule_blocks_and_fold_first_pairs(family, n, blocks):
     """The schedule is the family's blocks, and the fold-first pairs are its
     comparators on the columns of c: per block, j ascending, then k."""
     _, _, f, sched = make(family, n)

@@ -199,7 +199,7 @@ def test_cvp_corners_memory_stays_flat_in_n():
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
     # the same indices as one block over every row (distances built in place)
-    X = lat.enumerate_corners(basis).x
+    X = lat.enumerate_corners(basis).z @ basis.G
     d2 = Y @ X.T
     d2 *= -2.0
     d2 += (X**2).sum(axis=1)

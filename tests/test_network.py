@@ -341,7 +341,8 @@ def test_distinct_gradients_match_folded_oracle():
         # keep points whose active piece wins by a clear margin, so the
         # gradient is constant in the finite-difference neighborhood
         H = pts @ f.A.T + f.c
-        gvals = np.stack([H[:, list(g)].max(axis=1) for g in f.group_planes], axis=1)
+        group_planes = oracles.boundary_structure(f)[1]
+        gvals = np.stack([H[:, list(g)].max(axis=1) for g in group_planes], axis=1)
         top2 = np.sort(gvals, axis=1)[:, :2]
         pts = pts[top2[:, 1] - top2[:, 0] > 1e-3]
         d = n - 1
