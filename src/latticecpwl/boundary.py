@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +58,10 @@ class BoundaryFunction:
     pair_xp: np.ndarray  # (Np, n) int, C^0 endpoint
     pair_memb: np.ndarray  # (Np,) membership id per pair
 
+    def __post_init__(self) -> None:
+        for a in (self.A, self.c, self.memberships, self.pair_x, self.pair_xp, self.pair_memb):
+            a.setflags(write=False)
+
 
 def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> BoundaryFunction:
     """Construct f from the (x in C^1, x' in C^0) closest-neighbor pairs among
@@ -79,10 +84,21 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
     plane-id tuples, which also order the groups; a pair's membership id is
     its group's start plus its plane's rank in the group. Only the merge (per
     corner) and the normals v (per plane) loop in Python.
+
+    The all-corner f is memoized per process for the last basis asked for
+    (by identity, as `lat.build_basis` hands it out): calls on one instance
+    share one read-only f. An explicit z builds afresh.
     """
+    return _corner_boundary(basis) if z is None else _build_boundary(basis, z)
+
+
+@lru_cache(maxsize=1)
+def _corner_boundary(basis: OrientedBasis) -> BoundaryFunction:
+    return _build_boundary(basis, lat.enumerate_corners(basis).z)
+
+
+def _build_boundary(basis: OrientedBasis, z: np.ndarray) -> BoundaryFunction:
     gram = basis.gram
-    if z is None:
-        z = lat.enumerate_corners(basis).z
     c1, c0 = z[z[:, 0] == 1], z[z[:, 0] == 0]
 
     q0 = np.einsum("ij,jk,ik->i", c0, gram, c0)
@@ -229,7 +245,7 @@ def _group_reduce(op, rows: np.ndarray, ranked: np.ndarray, larger: list[int]) -
 def _min_max(
     X: np.ndarray, W: np.ndarray, bias: np.ndarray, group: np.ndarray, column: np.ndarray
 ) -> np.ndarray:
-    """The min-max kernel of both evaluators: per row of X, the min over groups
+    """The values-only min-max kernel: per row of X, the min over groups
     of the max over their members' heights (X W + bias)[column], members in
     ascending `group` order. Points go as columns: each block of
     `_height_blocks` is in the (columns x points) layout, so every step after
@@ -311,21 +327,22 @@ def eval_boundary_batch(
     f: BoundaryFunction, Yt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense f evaluation over every membership (the oracle of the fold-first
-    `folding.eval_folded_batch`): (values, active membership ids), values
-    from `_min_max` over the per-plane heights Yt A^T + c. A point's id is
-    the first membership whose height equals its value in a group with no
-    member above it: the first group whose max is the value, at its first
-    top member. The heights and group maxima are recomputed as `_min_max`
-    computes them, in the same blocks, so the equalities are exact."""
+    `folding.eval_folded_batch`): (values, active membership ids) over the
+    per-plane heights Yt A^T + c. Each block of `_height_blocks` takes one
+    group-max reduction for both: the values are the min of the group
+    maxima, as in `_min_max`, and a min is exact in any order, so they are
+    `_min_max`'s values bit for bit. A point's id is the first membership
+    whose height equals its value in a group with no member above it: the
+    first group whose max is the value, at its first top member."""
     Yt = np.atleast_2d(np.asarray(Yt, dtype=float))
     group, plane = f.memberships.T
-    vals = _min_max(Yt, f.A.T, f.c, group, plane)
     ranked, back, larger = _ranked(group, plane)
     starts = np.flatnonzero(np.diff(group, prepend=-1))
-    ids = np.empty(len(vals), dtype=np.int64)
+    vals, ids = np.empty(Yt.shape[0]), np.empty(Yt.shape[0], dtype=np.int64)
     for lo, hi, Ht in _height_blocks(Yt, f.A.T, f.c):
-        v = vals[lo:hi]
-        g = (_group_reduce(np.maximum, Ht, ranked, larger)[back] == v).argmax(axis=0)
+        peaks = _group_reduce(np.maximum, Ht, ranked, larger)
+        v = peaks.min(axis=0, out=vals[lo:hi])
+        g = (peaks[back] == v).argmax(axis=0)
         top = Ht[ranked[back[g]], np.arange(hi - lo)[:, None]] == v[:, None]
         ids[lo:hi] = starts[g] + top.argmax(axis=1)
     return vals, ids

@@ -11,6 +11,7 @@ them, and verifies that f is invariant under the fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +152,10 @@ class FoldedBoundary:
     bias: np.ndarray  # (Pm,)
     group: np.ndarray  # (Pm,) surviving group id of each column of W
 
+    def __post_init__(self) -> None:
+        for a in (self.Gt, self.W, self.bias, self.group):
+            a.setflags(write=False)
+
 
 def build_folded_boundary(f: bnd.BoundaryFunction, schedule: Schedule) -> FoldedBoundary:
     """The fold-first evaluator of f: its surviving memberships in the
@@ -169,7 +174,16 @@ def fold_first(basis: lat.OrientedBasis) -> FoldedBoundary:
     """The fold-first evaluator of f: the basis family's schedule, f from
     the chamber corners alone, and build_folded_boundary. Every pair of that
     f survives the fold, and its groups, as sets of planes, are the surviving
-    groups of the f built from all 2^n corners."""
+    groups of the f built from all 2^n corners.
+
+    Memoized per process for the last basis asked for (by identity, as
+    `lat.build_basis` hands it out): calls on one instance share one
+    read-only evaluator."""
+    return _fold_first(basis)
+
+
+@lru_cache(maxsize=1)
+def _fold_first(basis: lat.OrientedBasis) -> FoldedBoundary:
     schedule = build_schedule(basis.fid, basis)
     return build_folded_boundary(
         bnd.build_boundary(basis, chamber_corners(basis, schedule)), schedule

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,7 +120,15 @@ def build_basis(fid: FamilyId) -> OrientedBasis:
         G = J . chol(J . gram . J) . J,   J = anti-identity.
     The result is upper triangular with positive diagonal, which gives both
     orientation conditions at once (determinant = +sqrt(det gram)).
+
+    Memoized per process for the last fid asked for: calls on one instance
+    share one read-only basis, and so the builders keyed by it hit too.
     """
+    return _basis(fid)
+
+
+@lru_cache(maxsize=1)
+def _basis(fid: FamilyId) -> OrientedBasis:
     gram = build_gram(fid)
     J = np.eye(fid.n)[::-1]
     try:

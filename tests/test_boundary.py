@@ -684,3 +684,61 @@ def test_piece_count_report_and_json():
     assert en_row["adjudicated_reading"] == "multiplicity_over_i"
     # `count --format json` prints the row as it is: plain JSON types only
     assert json.loads(json.dumps(en_row)) == en_row
+
+
+# ---------------------------------------------------------------------------
+# the builders, memoized per process for one instance
+
+MEMO_FID, OTHER_FID = FamilyId("dn-second", 5), FamilyId("en", 6)
+
+
+def array_fields(obj) -> dict[str, np.ndarray]:
+    fields = {fl.name: getattr(obj, fl.name) for fl in dataclasses.fields(obj)}
+    return {name: a for name, a in fields.items() if isinstance(a, np.ndarray)}
+
+
+def test_builders_hand_out_one_object_per_instance():
+    basis = lat.build_basis(MEMO_FID)
+    assert lat.build_basis(MEMO_FID) is basis
+    assert bd.build_boundary(basis) is bd.build_boundary(basis)
+    assert fo.fold_first(basis) is fo.fold_first(basis)
+    # f from given corner labels is built afresh on every call
+    z = fo.chamber_corners(basis, fo.build_schedule(MEMO_FID, basis))
+    assert bd.build_boundary(basis, z) is not bd.build_boundary(basis, z)
+
+
+def test_builders_hold_one_instance():
+    basis = lat.build_basis(MEMO_FID)
+    f, ff = bd.build_boundary(basis), fo.fold_first(basis)
+    other = lat.build_basis(OTHER_FID)
+    bd.build_boundary(other)
+    fo.fold_first(other)
+    assert lat.build_basis(MEMO_FID) is not basis
+    assert bd.build_boundary(basis) is not f
+    assert fo.fold_first(basis) is not ff
+
+
+def test_cleared_memos_rebuild_equal_objects():
+    basis = lat.build_basis(MEMO_FID)
+    memoized = [basis, bd.build_boundary(basis), fo.fold_first(basis)]
+    for memo in (lat._basis, bd._corner_boundary, fo._fold_first):
+        memo.cache_clear()
+    fresh = [lat.build_basis(MEMO_FID), bd.build_boundary(basis), fo.fold_first(basis)]
+    assert fresh[0].fid == basis.fid and fresh[2].pairs == memoized[2].pairs
+    for old, new in zip(memoized, fresh):
+        assert new is not old
+        old_arrays, new_arrays = array_fields(old), array_fields(new)
+        assert old_arrays.keys() == new_arrays.keys()
+        for name, a in old_arrays.items():
+            b = new_arrays[name]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def test_built_arrays_are_read_only():
+    basis = lat.build_basis(MEMO_FID)
+    f, ff = bd.build_boundary(basis), fo.fold_first(basis)
+    arrays = {**array_fields(f), **{f"ff.{k}": a for k, a in array_fields(ff).items()}}
+    assert len(arrays) == 10
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0

@@ -653,6 +653,28 @@ def test_reruns_are_byte_identical(capsys):
     assert out_a == out_b
 
 
+def test_interleaved_instances_rerun_byte_identical(capsys, tmp_path):
+    """One process runs every command that builds f on an 8, then en 8, then
+    an 8 again: the builders' memos are hit, evicted and rebuilt, and each
+    stdout equals that command's first one on the instance."""
+    argvs = {}
+    for family in ("an", "en"):
+        basis = lat.build_basis(lat.FamilyId(family, 8))
+        projected, full = tmp_path / f"{family}_eval.txt", tmp_path / f"{family}_decode.txt"
+        np.savetxt(projected, lat.sample_domain(basis, seed=1, count=500))
+        np.savetxt(full, 3.0 * lat.sample_parallelotope(basis, seed=2, count=500))
+        base = ["--family", family, "--n", "8"]
+        argvs[family] = [
+            ["fold", *base], ["mc", *base], ["eval", *base, "--in", str(projected)],
+            ["decode", *base, "--in", str(full)], ["count", *base],
+        ]
+    first = {}
+    for family in ("an", "en", "an"):
+        for argv in argvs[family]:
+            out = run(capsys, argv)
+            assert first.setdefault(tuple(argv), out) == out, argv
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "basis.json"
     code, out, _ = run(

@@ -96,9 +96,12 @@ def test_every_src_function_runs(tmp_path):
         if event == "call":
             codes.add(frame.f_code)
 
-    # main builds its parser once per process; drop the cached one so that
-    # build_parser and its nested add run under the profiler
+    # main builds its parser once per process, and the builders memoize
+    # their last instance; drop what is cached so that build_parser, its
+    # nested add and the builders' bodies run under the profiler
     cli.build_parser.cache_clear()
+    for memo in (lat._basis, bnd._corner_boundary, fld._fold_first):
+        memo.cache_clear()
     sys.setprofile(profile)
     try:
         for argv in runs:
