@@ -33,8 +33,9 @@ def build_schedule(fid: lat.FamilyId, basis: lat.OrientedBasis) -> Schedule:
     """The family's fold as blocks of basis indices (1-based, ascending):
     an and dn-const-a (2..n), dn-second (3..n), en (2,3) and (4..n), less
     blocks of fewer than two. Raises ConstructionError unless the basis has
-    the family's rank and each swap of two indices of a block leaves the
-    integer Gram invariant.
+    the family's rank and each swap of two adjacent indices of a block
+    leaves the integer Gram invariant. Adjacent swaps generate the block's
+    permutations, so then every swap of two indices of a block does.
 
     Then the reflection across the bisector of b_j and b_k (its normal
     b_j - b_k has first coordinate zero) swaps c_j and c_k of c = y~ Gt^T,
@@ -52,13 +53,14 @@ def build_schedule(fid: lat.FamilyId, basis: lat.OrientedBasis) -> Schedule:
         blocks = [range(3 if fid.family == lat.FAMILY_DN_SECOND else 2, n + 1)]
     schedule = tuple(tuple(b) for b in blocks if len(b) > 1)
     gram = np.asarray(basis.gram).tolist()
-    for j, k in comparators(schedule):
-        # the Gram is symmetric, so it is invariant under the swap iff row k
-        # is row j with its entries j and k traded
-        row = gram[j - 1][:]
-        row[j - 1], row[k - 1] = row[k - 1], row[j - 1]
-        if row != gram[k - 1]:
-            raise ConstructionError(f"the fold does not swap b_{j} and b_{k}")
+    for blk in schedule:
+        for j, k in zip(blk, blk[1:]):
+            # the Gram is symmetric, so it is invariant under the swap iff
+            # row k is row j with its entries j and k traded
+            row = gram[j - 1][:]
+            row[j - 1], row[k - 1] = row[k - 1], row[j - 1]
+            if row != gram[k - 1]:
+                raise ConstructionError(f"the fold does not swap b_{j} and b_{k}")
     return schedule
 
 
@@ -114,27 +116,22 @@ def chamber_corners(basis: lat.OrientedBasis, schedule: Schedule) -> np.ndarray:
     return z[np.lexsort(z.T[::-1])]
 
 
-def surviving_pairs(f: bnd.BoundaryFunction, schedule: Schedule) -> np.ndarray:
-    """Mask over pair rows: both endpoints on the non-negative side of every
-    comparator's hyperplane, tested exactly in integers.
-
-    Corner z lies on the non-negative side of comparator (j, k) iff
-    z gram (e_j - e_k) >= 0, so the integer rows are gram[j] - gram[k].
-    """
-    gram = np.asarray(f.basis.gram)
-    rows = np.array([gram[j - 1] - gram[k - 1] for j, k in comparators(schedule)])
-    rows = rows.reshape(-1, f.basis.n)
-    return ((f.pair_x @ rows.T >= 0) & (f.pair_xp @ rows.T >= 0)).all(axis=1)
-
-
 def folded_structure(f: bnd.BoundaryFunction, schedule: Schedule) -> np.ndarray:
     """Surviving (group, plane) membership rows after folding, in ascending
     order.
 
     A membership survives when at least one of its neighbor pairs has both
-    endpoints on the non-negative side of all hyperplanes.
+    corner labels in the fold's chamber: descending within each schedule
+    block, the rule `chamber_corners` generates by. For a schedule from
+    `build_schedule` that is the non-negative side of every comparator's
+    hyperplane, z gram (e_j - e_k) >= 0.
     """
-    return f.memberships[np.unique(f.pair_memb[surviving_pairs(f, schedule)])]
+    keep = np.ones(len(f.pair_memb), dtype=bool)
+    for blk in schedule:
+        cols = np.array(blk) - 1
+        for z in (f.pair_x, f.pair_xp):
+            keep &= (z[:, cols[:-1]] >= z[:, cols[1:]]).all(axis=1)
+    return f.memberships[np.unique(f.pair_memb[keep])]
 
 
 @dataclass(frozen=True, eq=False)

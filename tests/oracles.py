@@ -5,7 +5,8 @@ the decode-error estimate by brute-force nearest-corner search and, for the
 simplex family at any rank, by the sorted nearest-corner decoder,
 membership and the bounding box of the projected domain D(B), a Lipschitz
 constant of f, the plane keys, group planes and group corners of f
-derived from its pair arrays, sampled folded-domain counts with the stated
+derived from its pair arrays, the comparator sides of corner labels by
+Gram rows, sampled folded-domain counts with the stated
 folded constants beside them, the reduction of extended-box points
 into the base cell, the fold as a sort of point rows, the layer-by-layer
 reference forward of a network, the line-by-line point-file reader, and
@@ -232,6 +233,18 @@ def reference_sort_fold(basis: lat.OrientedBasis, Yt: np.ndarray) -> np.ndarray:
         cols = np.array(blk) - 2  # b_j is column j - 2
         C[:, cols] = -np.sort(-C[:, cols], axis=1)
     return C
+
+
+def on_comparator_side(
+    basis: lat.OrientedBasis, schedule: fld.Schedule, z: np.ndarray
+) -> np.ndarray:
+    """Mask over the corner label rows z: z gram (e_j - e_k) >= 0 for every
+    comparator (j, k) of the schedule, in integers, by one Gram row
+    gram[j] - gram[k] per comparator. The reference for the label rule of
+    `folding.chamber_corners` and `folding.folded_structure`."""
+    gram = np.asarray(basis.gram)
+    rows = np.array([gram[j - 1] - gram[k - 1] for j, k in fld.comparators(schedule)])
+    return (z @ rows.reshape(-1, basis.n).T >= 0).all(axis=1)
 
 
 def sample_folded_domain(

@@ -469,10 +469,21 @@ def test_family_bases_meet_what_build_boundary_assumes(family, n):
     assert det == pytest.approx(np.sqrt(np.linalg.det(basis.gram)), rel=1e-12)
 
 
-@pytest.mark.parametrize("family,n", [("an", 64), ("dn-second", 24)])
+# the surviving pieces, the columns of the fold-first evaluator
+FOLDED_PIECES = {
+    "an": lambda n: 2 * n - 1,
+    "dn-const-a": lambda n: 2 * n - 3,
+    "dn-second": lambda n: 6 * n - 12,
+}
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("an", 64), ("dn-second", 24), ("an", 256), ("dn-const-a", 256), ("dn-second", 256)],
+)
 def test_fold_first_chamber_f_is_non_empty_past_the_corner_cap(family, n):
     ff = fo.fold_first(lat.build_basis(FamilyId(family, n)))
-    assert len(ff.group) >= 1
+    assert len(ff.group) == FOLDED_PIECES[family](n)
 
 
 @pytest.fixture(scope="module")

@@ -316,7 +316,7 @@ def test_decode_agrees_with_nearest_corner_folded(capsys, tmp_path, family, n):
     check_decode_against_nearest_corner(capsys, tmp_path, family, n)
 
 
-@pytest.mark.parametrize("n", [24, 57, 64])
+@pytest.mark.parametrize("n", [24, 57, 64, 256])
 def test_decode_agrees_with_sorted_decoder_at_large_rank(capsys, tmp_path, n):
     # f from the chamber corners serves far past the 2^n corner enumeration;
     # the sorted simplex-family decoder is the nearest-corner reference there

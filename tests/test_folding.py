@@ -327,11 +327,8 @@ def test_chamber_corners_pass_the_integer_step_test(family, n):
     basis = lat.build_basis(fid)
     sched = fo.build_schedule(fid, basis)
     z = lat.enumerate_corners(basis).z
-    gram = np.asarray(basis.gram)
-    rows = np.array([gram[j - 1] - gram[k - 1] for j, k in fo.comparators(sched)])
-    rows = rows.reshape(-1, n)
     chamber = fo.chamber_corners(basis, sched)
-    assert np.array_equal(chamber, z[(z @ rows.T >= 0).all(axis=1)])
+    assert np.array_equal(chamber, z[oracles.on_comparator_side(basis, sched, z)])
     assert len(chamber) == CHAMBER_SIZE[family](n)
 
 
@@ -353,7 +350,8 @@ def test_chamber_f_is_the_surviving_f(family, n):
     # the surviving groups of the f built from all 2^n corners
     _, basis, f, sched = make(family, n)
     chamber = bd.build_boundary(basis, fo.chamber_corners(basis, sched))
-    assert fo.surviving_pairs(chamber, sched).all()
+    for z in (chamber.pair_x, chamber.pair_xp):
+        assert oracles.on_comparator_side(basis, sched, z).all()
     memberships = fo.folded_structure(chamber, sched)
     assert np.array_equal(memberships, chamber.memberships)
     assert plane_key_groups(chamber, memberships) == plane_key_groups(
@@ -363,6 +361,25 @@ def test_chamber_f_is_the_surviving_f(family, n):
         group, plane = memberships.T
         got = (len(memberships), len(np.unique(plane)), len(np.unique(group)))
         assert got == FOLDED_STRUCTURE[(family, n)]
+
+
+@pytest.mark.parametrize(
+    "family,n,chamber",
+    [(family, n, False) for family, n in sorted(FOLDED_STRUCTURE)]
+    + [("an", 64, True), ("dn-second", 64, True)],
+)
+def test_folded_structure_is_the_gram_row_rule(family, n, chamber):
+    # the label rule (descending within each block) keeps the memberships
+    # whose pair has both labels on the non-negative side of every
+    # comparator, by the Gram rows; past the corner cap on the chamber f
+    fid = FamilyId(family, n)
+    basis = lat.build_basis(fid)
+    sched = fo.build_schedule(fid, basis)
+    f = bd.build_boundary(basis, fo.chamber_corners(basis, sched) if chamber else None)
+    keep = oracles.on_comparator_side(basis, sched, f.pair_x)
+    keep &= oracles.on_comparator_side(basis, sched, f.pair_xp)
+    want = f.memberships[np.unique(f.pair_memb[keep])]
+    assert np.array_equal(fo.folded_structure(f, sched), want)
 
 
 FOLD_FIRST_INSTANCES = [("an", 1)] + sorted(FOLDED_STRUCTURE)
@@ -444,6 +461,14 @@ def test_build_schedule_rejects_a_basis_its_fold_does_not_swap():
     other = lat.build_basis(FamilyId("dn-second", 4))
     with pytest.raises(ConstructionError):
         fo.build_schedule(FamilyId("an", 4), other)
+
+
+def test_build_schedule_checks_every_adjacent_swap():
+    # en 8 has g_12 = g_13 = 0, so an 8's first swap, b_2 and b_3, holds;
+    # g_13 = 0 but g_14 = 1, so the next adjacent swap, b_3 and b_4, breaks
+    other = lat.build_basis(FamilyId("en", 8))
+    with pytest.raises(ConstructionError, match="b_3 and b_4"):
+        fo.build_schedule(FamilyId("an", 8), other)
 
 
 def test_folded_oracle_small():
