@@ -101,8 +101,11 @@ def _build_boundary(basis: OrientedBasis, z: np.ndarray) -> BoundaryFunction:
     gram = basis.gram
     c1, c0 = z[z[:, 0] == 1], z[z[:, 0] == 0]
 
-    q0 = np.einsum("ij,jk,ik->i", c0, gram, c0)
-    q1 = np.einsum("ij,jk,ik->i", c1, gram, c1)
+    # the rows' a gram b^T in float64 BLAS, exact on these small integers
+    def quad(a, b):
+        return ((a.astype(float) @ gram) * b).sum(1).astype(np.int64)
+
+    q0, q1 = quad(c0, c0), quad(c1, c1)
     rows, cross = c1.astype(float), (-2 * gram @ c0.T).astype(float)
     step = max(1, (1 << 20) // len(c0))
     hits = np.concatenate([
@@ -115,7 +118,7 @@ def _build_boundary(basis: OrientedBasis, z: np.ndarray) -> BoundaryFunction:
 
     d = pair_x - pair_xp
     # 2p = 2 z' gram d + d gram d, and d gram d = 2 on every pair
-    key_rows = np.column_stack([d, 2 * np.einsum("ij,jk,ik->i", pair_xp, gram, d) + 2])
+    key_rows = np.column_stack([d, 2 * quad(pair_xp, d) + 2])
     by_key = np.lexsort(key_rows.T[::-1])
     new = np.ones(len(by_key), dtype=bool)
     new[1:] = (np.diff(key_rows[by_key], axis=0) != 0).any(axis=1)

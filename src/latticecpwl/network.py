@@ -1,15 +1,16 @@
 """Feed-forward synthesis of the boundary function.
 
-Networks are explicit layer stacks: translation blocks that reduce the
+Networks are explicit layer stacks: sawtooth layers that reduce the
 extended box into the base cell, compare-exchange units that sort the
 fold-first coordinates c (the fold onto the non-negative side of the
-schedule hyperplanes, one unit per entry of `folding.comparators`), a
-parallel affine stage for the surviving pieces, and max/min trees that
-combine them. Evaluation is exact layer-by-layer arithmetic; nothing is
-trained. Each layer finds the units of each activation once, when it is
-built. `forward` evaluates with points as columns, so each layer's output
-is a (units x points) array, and applies the activations in place on its
-rows.
+schedule hyperplanes, one unit per entry of `folding.comparators`), then
+the surviving pieces' affine map and max/min trees that combine them.
+Every linear map folds into the next layer, so each hidden layer applies
+relu or sawtooth units. Evaluation is exact layer-by-layer arithmetic;
+nothing is trained. Each layer finds the units of each activation once,
+when it is built. `forward` evaluates with points as columns, so each
+layer's output is a (units x points) array, and applies the activations in
+place on its rows.
 """
 from __future__ import annotations
 
@@ -25,10 +26,9 @@ from . import lattices as lat
 from .errors import ConstructionError, DomainError, InternalCheckError
 
 ACT_RELU = "relu"
-ACT_NEG_RELU = "neg_relu"
 ACT_IDENTITY = "identity"
 ACT_SAWTOOTH2 = "sawtooth2"
-ACTIVATIONS = (ACT_RELU, ACT_NEG_RELU, ACT_IDENTITY, ACT_SAWTOOTH2)
+ACTIVATIONS = (ACT_RELU, ACT_IDENTITY, ACT_SAWTOOTH2)
 
 TAG_TRANSLATION = "translation"
 TAG_REFLECTION = "reflection"
@@ -37,16 +37,17 @@ TAG_MAXMIN = "maxmin"
 
 
 def _units(acts: tuple[str, ...], kind: str) -> np.ndarray | None:
-    """The indices of the units of acts that apply kind, or None if none does."""
-    idx = [i for i, a in enumerate(acts) if a == kind]
-    return np.array(idx) if idx else None
+    """A (units, 1) mask of the units of acts that apply kind, or None if
+    none does."""
+    mask = np.array([a == kind for a in acts], dtype=bool)[:, None]
+    return mask if mask.any() else None
 
 
 @dataclass(frozen=True)
 class Layer:
     """One affine map plus a per-unit activation. W has shape (out, in).
 
-    Construction also records the plan `forward` follows: the relu, neg_relu
+    Construction also records the plan `forward` follows: masks of the relu
     and sawtooth2 units, which are rows of forward's (units x points)
     output, and whether the bias is all zero, so that its add can be skipped
     (x + 0.0 differs from x only at x = -0.0, which compares equal).
@@ -57,7 +58,6 @@ class Layer:
     acts: tuple[str, ...]
     tag: str = ""
     relu: np.ndarray | None = field(init=False, repr=False, compare=False)
-    neg_relu: np.ndarray | None = field(init=False, repr=False, compare=False)
     sawtooth: np.ndarray | None = field(init=False, repr=False, compare=False)
     zero_bias: bool = field(init=False, repr=False, compare=False)
 
@@ -80,7 +80,6 @@ class Layer:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "relu", _units(self.acts, ACT_RELU))
-        object.__setattr__(self, "neg_relu", _units(self.acts, ACT_NEG_RELU))
         object.__setattr__(self, "sawtooth", _units(self.acts, ACT_SAWTOOTH2))
         object.__setattr__(self, "zero_bias", not b.any())
 
@@ -112,7 +111,7 @@ def forward(network: Network, x: np.ndarray) -> np.ndarray:
     layer's output holds about 2^18 values (the last block takes the tail,
     `bnd._tail_blocks`). Each layer's W Y is a new (units x points) array,
     so its bias add (skipped when all zero) and its activations, on the
-    rows the layer recorded, run in place on it. Returns the (N, out)
+    rows the layer's masks select, run in place on it. Returns the (N, out)
     transposed view of the (out x N) result."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
@@ -136,67 +135,47 @@ def forward(network: Network, x: np.ndarray) -> np.ndarray:
             Y = layer.W @ Y
             if not layer.zero_bias:
                 Y += layer.b[:, None]
+            # masked in place, so no gathered copy of the selected rows is made
             if layer.relu is not None:
-                Y[layer.relu] = np.maximum(Y[layer.relu], 0.0)
-            if layer.neg_relu is not None:
-                Y[layer.neg_relu] = np.maximum(-Y[layer.neg_relu], 0.0)
+                np.maximum(Y, 0.0, out=Y, where=layer.relu)
             if layer.sawtooth is not None:
-                Z = Y[layer.sawtooth]
-                Y[layer.sawtooth] = Z - np.floor(Z)
+                np.subtract(Y, np.floor(Y), out=Y, where=layer.sawtooth)
         out[:, lo:hi] = Y
     return out[:, 0] if single else out.T
 
 
-def translation_block(basis: lat.OrientedBasis, level: int, M: int) -> Network:
-    """Three-layer fragment subtracting the level-scale lattice shift: map to
-    scaled cell coordinates, drop the integer part with the period-2 sawtooth,
-    and map back."""
-    if not 1 <= level <= M:
-        raise DomainError(f"level must satisfy 1 <= level <= M, got {level}, M={M}")
-    n = basis.n
-    s = float(2 ** (M - level))
-    eye = np.eye(n)
-    layers = (
-        Layer(basis.Ginv.T / s, np.zeros(n), (ACT_IDENTITY,) * n, tag=TAG_TRANSLATION),
-        Layer(eye, np.zeros(n), (ACT_SAWTOOTH2,) * n, tag=TAG_TRANSLATION),
-        Layer(s * basis.G.T, np.zeros(n), (ACT_IDENTITY,) * n, tag=TAG_TRANSLATION),
-    )
-    return Network(layers=layers, meta={"kind": "translation", "level": level, "M": M})
-
-
 def _max_min(
-    dim: int, pairs: list[tuple[int, int]], keep: tuple[str, ...], tag: str
-) -> list[Layer]:
-    """The two-layer max/min gadget on a dim-vector x. Each pair (i, k) takes
-    the units x_i + x_k, relu(x_i - x_k) and neg_relu(x_i - x_k); every input
-    in no pair is carried by one identity unit. The output holds
-    max(x_i, x_k) at i, min(x_i, x_k) at k and the carried inputs in place,
-    less the ends of each pair that keep does not name ("max", "min")."""
+    dim: int, pairs: list[tuple[int, int]], keep: tuple[str, ...]
+) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """The max/min gadget on a dim-vector x, as its relu layer (map and
+    activations) and the linear map that reads the result off that layer's
+    units. Each pair (i, k) takes the units x_i + x_k, relu(x_i - x_k) and
+    relu(x_k - x_i); every input in no pair is carried by one identity unit.
+    The result holds max(x_i, x_k) at i, min(x_i, x_k) at k and the carried
+    inputs in place, less the ends of each pair that keep does not name
+    ("max", "min")."""
     free = sorted(set(range(dim)).difference(*pairs))
     eye = np.eye(dim)
     i, k = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    # per pair the rows e_i + e_k, e_i - e_k, e_i - e_k
-    units = (eye[i, None] + [[1.0], [-1.0], [-1.0]] * eye[k, None]).reshape(-1, dim)
+    # per pair the rows e_i + e_k, e_i - e_k, e_k - e_i
+    d = eye[i] - eye[k]
+    units = np.stack([eye[i] + eye[k], d, -d], axis=1).reshape(-1, dim)
     Wa = np.concatenate([units, eye[free]])
-    # max and min are (s +- (relu(d) + neg_relu(d))) / 2, so the second layer
-    # is the first's transpose with the pair units halved
-    Wb = Wa.T.copy()
-    Wb[:, : len(units)] *= 0.5
+    # max and min are (s +- (relu(d) + relu(-d))) / 2, so the read-out is
+    # Wa's transpose with each pair's units scaled by 1/2, 1/2 and -1/2
+    Wb = Wa.T * np.concatenate([np.tile([0.5, 0.5, -0.5], len(i)), np.ones(len(free))])
     rows = np.ones(dim, dtype=bool)
     rows[i] = "max" in keep
     rows[k] = "min" in keep
-    out = int(rows.sum())
-    acts = (ACT_IDENTITY, ACT_RELU, ACT_NEG_RELU) * len(i) + (ACT_IDENTITY,) * len(free)
-    return [
-        Layer(Wa, np.zeros(len(Wa)), acts, tag=tag),
-        Layer(Wb[rows], np.zeros(out), (ACT_IDENTITY,) * out, tag=tag),
-    ]
+    acts = (ACT_IDENTITY, ACT_RELU, ACT_RELU) * len(i) + (ACT_IDENTITY,) * len(free)
+    return Wa, acts, Wb[rows]
 
 
-def _tree_layers(sizes: list[int], combine: str) -> list[Layer]:
-    """Pairwise combine stages over concatenated per-group unit blocks until
-    every group is one unit; a unit without a partner is carried."""
-    layers = []
+def _tree(sizes: list[int], combine: str) -> list:
+    """The gadgets of pairwise combine stages over concatenated per-group
+    unit blocks until every group is one unit; a unit without a partner is
+    carried."""
+    gadgets = []
     while max(sizes) > 1:
         starts = np.cumsum(sizes) - sizes
         pairs = [
@@ -204,17 +183,18 @@ def _tree_layers(sizes: list[int], combine: str) -> list[Layer]:
             for a, sz in zip(starts.tolist(), sizes)
             for q in range(sz // 2)
         ]
-        layers += _max_min(sum(sizes), pairs, (combine,), TAG_MAXMIN)
+        gadgets.append(_max_min(sum(sizes), pairs, (combine,)))
         sizes = [(sz + 1) // 2 for sz in sizes]
-    return layers
+    return gadgets
 
 
 def base_depth(steps: int, group_sizes: list[int]) -> int:
-    """Layer count of the base (unextended) network: two per compare-exchange
-    (steps of them), one piece stage, and two per max/min tree stage."""
+    """Layer count of the base (unextended) network: one relu layer per
+    compare-exchange (steps of them) and per max/min tree stage, and the
+    closing affine layer."""
     gmax = max(group_sizes)
     g = len(group_sizes)
-    return 2 * steps + 1 + 2 * math.ceil(math.log2(gmax)) + 2 * math.ceil(math.log2(g))
+    return steps + math.ceil(math.log2(gmax)) + math.ceil(math.log2(g)) + 1
 
 
 def synthesize(
@@ -223,18 +203,23 @@ def synthesize(
     f: bnd.BoundaryFunction,
     M: int = 0,
 ) -> Network:
-    """Build the full network: M translation blocks, then on the fold-first
+    """Build the full network: M sawtooth layers, then on the fold-first
     coordinates c = y~ Gt^T of `folding.build_folded_boundary` one
     compare-exchange per pair (j, k) of its `pairs` (c_j <- max, c_k <- min),
-    the list `folding.sort_fold` runs, then the surviving-piece affine stage
+    the list `folding.sort_fold` runs, then the surviving-piece affine map
     and per-group max trees feeding a min tree. In y~ each compare-exchange
     is the reflection across the bisector of b_{j+2} and b_{k+2}.
-    The first of these layers absorbs the map to c: for M >= 1 the input is
-    the full n-vector, for M = 0 the projected (n-1)-vector."""
+
+    Past the sawtooth layers each layer is a gadget's relu layer with the
+    affine map pending before it folded in: (P, p) starts as the map to c,
+    the gadget's relu map W gives the layer W P, W p, its read-out map
+    becomes the pending map, the piece map is composed into it, and one
+    identity layer emits what is left. For M >= 1 the input is the full
+    n-vector, for M = 0 the projected (n-1)-vector."""
     if M < 0:
         raise DomainError(f"M must be >= 0, got {M}")
     # decode's rule: where the spacing of 2^M exceeds the tie band, the
-    # translation blocks reduce to rounding noise (M >= 29)
+    # translation stage reduces to rounding noise (M >= 29)
     if math.ulp(2.0 ** min(M, 1023)) > bnd.DECODE_TOL:
         raise DomainError(
             f"M = {M} is too large: the spacing of 2^M exceeds the decode "
@@ -249,32 +234,39 @@ def synthesize(
     sizes = np.unique(ff.group, return_counts=True)[1].tolist()
 
     layers: list[Layer] = []
-    for level in range(1, M + 1):
-        layers.extend(translation_block(basis, level, M).layers)
+    if M:
+        # the lattice coordinates alpha = y Ginv reduced mod 1 by Telgarsky's
+        # doubling map: u = frac(alpha / 2^(M-1)), then u <- frac(2u) per
+        # further level (exact in floats), so u = frac(alpha) and c = gram[1:] u
+        scales = [basis.Ginv.T / 2.0 ** (M - 1)] + [2.0 * np.eye(n)] * (M - 1)
+        saw = (ACT_SAWTOOTH2,) * n
+        layers += [Layer(W, np.zeros(n), saw, tag=TAG_TRANSLATION) for W in scales]
+        P = basis.gram[1:].astype(float)
+    else:
+        # b_j . e_1 = 0 for j >= 2, so c = y~ G[1:, 1:]^T
+        P = basis.G[1:, 1:]
+    p = np.zeros(n - 1)
 
-    base: list[Layer] = []
     for pair in ff.pairs:
-        base += _max_min(n - 1, [pair], ("max", "min"), TAG_REFLECTION)
-    base.append(Layer(ff.W.T, ff.bias, (ACT_IDENTITY,) * len(ff.bias), tag=TAG_PIECES))
-    base += _tree_layers(sizes, "max")
-    base += _tree_layers([len(sizes)], "min")
-    # b_j . e_1 = 0 for j >= 2, so c = y G[1:]^T
-    first = base[0]
-    to_c = f.basis.G[1:, 1 if M == 0 else 0 :]
-    base[0] = Layer(first.W @ to_c, first.b, first.acts, tag=first.tag)
+        Wa, acts, Wb = _max_min(n - 1, [pair], ("max", "min"))
+        layers.append(Layer(Wa @ P, Wa @ p, acts, tag=TAG_REFLECTION))
+        P, p = Wb, np.zeros(len(Wb))
+    P, p = ff.W.T @ P, ff.W.T @ p + ff.bias
+    tag = TAG_PIECES
+    for Wa, acts, Wb in _tree(sizes, "max") + _tree([len(sizes)], "min"):
+        layers.append(Layer(Wa @ P, Wa @ p, acts, tag=tag))
+        P, p, tag = Wb, np.zeros(len(Wb)), TAG_MAXMIN
+    layers.append(Layer(P, p, (ACT_IDENTITY,) * len(p), tag=tag))
 
-    expected = 3 * M + base_depth(len(ff.pairs), sizes)
-    if len(layers) + len(base) != expected:
+    expected = M + base_depth(len(ff.pairs), sizes)
+    if len(layers) != expected:
         raise InternalCheckError(
-            f"depth bookkeeping broke: {len(layers) + len(base)} layers, "
-            f"expected {expected}"
+            f"depth bookkeeping broke: {len(layers)} layers, expected {expected}"
         )
-    all_layers = tuple(layers) + tuple(base)
-    width = max(l.out_dim for l in all_layers)
     meta = {
-        "depth": len(all_layers),
-        "width": width,
-        "activations": [a for a in ACTIVATIONS if any(a in l.acts for l in all_layers)],
+        "depth": len(layers),
+        "width": max(l.out_dim for l in layers),
+        "activations": [a for a in ACTIVATIONS if any(a in l.acts for l in layers)],
         "provenance": {
             "translation_blocks": M,
             "comparators": len(ff.pairs),
@@ -284,18 +276,12 @@ def synthesize(
             "n": n,
         },
     }
-    return Network(layers=all_layers, meta=meta)
+    return Network(layers=tuple(layers), meta=meta)
 
 
 def network_to_json(network: Network) -> str:
-    rows = []
-    for layer in network.layers:
-        rows.append(
-            {
-                "w": [[float(x) for x in row] for row in layer.W],
-                "b": [float(x) for x in layer.b],
-                "act": list(layer.acts),
-                "tag": layer.tag,
-            }
-        )
+    rows = [
+        {"w": layer.W.tolist(), "b": layer.b.tolist(), "act": list(layer.acts), "tag": layer.tag}
+        for layer in network.layers
+    ]
     return json.dumps({"layers": rows, "meta": network.meta}, indent=2)

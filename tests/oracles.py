@@ -376,14 +376,12 @@ def reference_forward(network: net.Network, x: np.ndarray) -> np.ndarray:
         Z = X @ layer.W.T + layer.b
         X = Z.copy()
         kinds = np.array(layer.acts)
-        for kind in (net.ACT_RELU, net.ACT_NEG_RELU, net.ACT_SAWTOOTH2):
+        for kind in (net.ACT_RELU, net.ACT_SAWTOOTH2):
             idx = np.flatnonzero(kinds == kind)
             if idx.size == 0:
                 continue
             if kind == net.ACT_RELU:
                 X[:, idx] = np.maximum(Z[:, idx], 0.0)
-            elif kind == net.ACT_NEG_RELU:
-                X[:, idx] = np.maximum(-Z[:, idx], 0.0)
             else:
                 X[:, idx] = Z[:, idx] - np.floor(Z[:, idx])
     return X[0] if arr.ndim == 1 else X

@@ -215,7 +215,7 @@ def test_criterion_5_network_equivalence_and_depth():
                 out = net.forward(nw, Yt)[:, 0]
                 ref, _ = bnd.eval_boundary_batch(f, Yt)
             else:
-                depth_ok = depth_ok and nw.meta["depth"] == 3 * M + base
+                depth_ok = depth_ok and nw.meta["depth"] == M + base
                 rng = np.random.default_rng(1000 * M + n)
                 alpha = rng.random((12_000, n))
                 alpha[:, 1:] *= 2.0**M
@@ -231,7 +231,7 @@ def test_criterion_5_network_equivalence_and_depth():
         5,
         ok,
         f"max |network - boundary| = {worst:.3e} over 22 instances x M in 0..2; "
-        f"depth = 3M + L_base {'holds' if depth_ok else 'violated'}",
+        f"depth = M + L_base {'holds' if depth_ok else 'violated'}",
         time.perf_counter() - t0,
         300,
     )
@@ -315,17 +315,18 @@ def test_criterion_10_translation_reduction_and_periodicity():
     for family, n in [("an", 3), ("dn-second", 4)]:
         fid, basis, f = make(family, n)
         for M in (1, 2, 3):
-            blocks = []
-            for level in range(1, M + 1):
-                blocks.extend(net.translation_block(basis, level, M).layers)
-            stack = net.Network(layers=tuple(blocks), meta={})
+            layers = net.synthesize(basis, fld.build_schedule(fid, basis), f, M=M).layers
+            stack = net.Network(
+                layers=tuple(l for l in layers if l.tag == net.TAG_TRANSLATION), meta={}
+            )
             rng = np.random.default_rng(20 + M)
             alpha = rng.random((1_200, n))
             alpha[:, 1:] *= 2.0**M
             frac = alpha[:, 1:] - np.floor(alpha[:, 1:])
             keep = ((frac > 1e-6) & (frac < 1 - 1e-6)).all(axis=1)
             Y0 = (alpha[keep] @ basis.G)[:1_000]
-            got = net.forward(stack, Y0)
+            # the sawtooth layers give the lattice coordinates u = frac(y Ginv)
+            got = net.forward(stack, Y0) @ basis.G
             reduced, _ = oracles.reduce_to_parallelotope(basis, Y0, M)
             worst_floor = max(worst_floor, float(np.abs(got - reduced).max()))
             # periodicity: shifting by basis multiples inside the extended box
@@ -341,7 +342,7 @@ def test_criterion_10_translation_reduction_and_periodicity():
     report(
         10,
         ok,
-        f"max |blocks - floor oracle| = {worst_floor:.3e}; "
+        f"max |translation stage - floor oracle| = {worst_floor:.3e}; "
         f"max periodic deviation = {worst_periodic:.3e}",
         time.perf_counter() - t0,
         60,

@@ -123,18 +123,18 @@ def test_synth_depth_accounting(capsys):
     code, out, _ = run(capsys, ["synth", "--family", "an", "--n", "3", "--M", "1"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["meta"]["depth"] == 12  # 3 * M + base depth 9
-    assert len(payload["layers"]) == 12
+    assert payload["meta"]["depth"] == 6  # M + base depth 5
+    assert len(payload["layers"]) == 6
 
 
 @pytest.mark.parametrize("M,code", [(28, 0), (29, 2), (1100, 2)])
 def test_synth_rejects_m_past_decode_tolerance(capsys, M, code):
     # decode's rule: from M = 29 the spacing of 2^M exceeds DECODE_TOL, and
-    # M = 1100 would overflow the float scale of the translation blocks
+    # M = 1100 would overflow the float scale of the translation stage
     got, out, err = run(capsys, ["synth", "--family", "an", "--n", "3", "--M", str(M)])
     assert got == code
     if code == 0:
-        assert json.loads(out)["meta"]["depth"] == 3 * M + 9
+        assert json.loads(out)["meta"]["depth"] == M + 5
         assert err == ""
     else:
         assert out == ""

@@ -73,13 +73,16 @@ def on_folded_side(basis, sched, Yt):
 
 def reflection_image(basis, f, sched, Yt):
     """c of each point after the compare-exchange layers of the M = 0
-    network, the paper's ReLU fold; with no comparator the piece layer absorbs the
-    map to c, and c is y~ Gt^T."""
+    network, the paper's ReLU fold, read off the last one's units by its
+    gadget's read-out map (the network folds that map into its piece layer);
+    with no comparator c is y~ Gt^T."""
     layers = net.synthesize(basis, sched, f, M=0).layers
     stage = tuple(l for l in layers if l.tag == net.TAG_REFLECTION)
     if not stage:
         return Yt @ basis.G[1:, 1:].T
-    return net.forward(net.Network(layers=stage, meta={}), Yt)
+    last = fo.build_folded_boundary(f, sched).pairs[-1]
+    _, _, read_out = net._max_min(basis.n - 1, [last], ("max", "min"))
+    return net.forward(net.Network(layers=stage, meta={}), Yt) @ read_out.T
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
-"""Network synthesis checks: activation semantics, compare-exchange and
-translation blocks, max/min trees, full synthesis equivalence, and
-serialization."""
+"""Network synthesis checks: activation semantics, compare-exchange gadgets,
+the sawtooth translation stage, max/min trees, the fused layer structure,
+full synthesis equivalence, and serialization."""
 from __future__ import annotations
 
 import json
@@ -32,15 +32,16 @@ def make(family, n):
 
 def test_activation_semantics():
     layer = net.Layer(
-        np.eye(4),
-        np.zeros(4),
-        (net.ACT_RELU, net.ACT_NEG_RELU, net.ACT_IDENTITY, net.ACT_SAWTOOTH2),
+        np.eye(3),
+        np.zeros(3),
+        (net.ACT_RELU, net.ACT_IDENTITY, net.ACT_SAWTOOTH2),
     )
     nw = net.Network(layers=(layer,), meta={})
-    out = net.forward(nw, np.array([-1.5, -1.5, -1.5, 1.75]))
-    assert np.array_equal(out, [0.0, 1.5, -1.5, 0.75])
-    out = net.forward(nw, np.array([2.0, 2.0, 2.0, 0.25]))
-    assert np.array_equal(out, [2.0, 0.0, 2.0, 0.25])
+    out = net.forward(nw, np.array([-1.5, -1.5, 1.75]))
+    assert np.array_equal(out, [0.0, -1.5, 0.75])
+    out = net.forward(nw, np.array([2.0, 2.0, -0.25]))
+    assert np.array_equal(out, [2.0, 2.0, 0.75])
+    assert net.ACTIVATIONS == (net.ACT_RELU, net.ACT_IDENTITY, net.ACT_SAWTOOTH2)
 
 
 def test_layer_validation():
@@ -62,12 +63,11 @@ def test_forward_plan_of_a_layer():
     """A layer records its activation columns and whether its bias is all
     zero; forward follows the plan and equals the reference forward."""
     acts = (net.ACT_RELU, net.ACT_RELU, net.ACT_IDENTITY, net.ACT_RELU,
-            net.ACT_SAWTOOTH2, net.ACT_NEG_RELU, net.ACT_SAWTOOTH2)
+            net.ACT_SAWTOOTH2, net.ACT_IDENTITY, net.ACT_SAWTOOTH2)
     rng = np.random.default_rng(4)
     layer = net.Layer(rng.normal(size=(7, 3)), rng.normal(size=7), acts)
-    assert np.array_equal(layer.relu, [0, 1, 3])
-    assert np.array_equal(layer.sawtooth, [4, 6])
-    assert np.array_equal(layer.neg_relu, [5])
+    assert np.array_equal(np.flatnonzero(layer.relu), [0, 1, 3])
+    assert np.array_equal(np.flatnonzero(layer.sawtooth), [4, 6])
     assert not layer.zero_bias
     assert net.Layer(np.eye(2), np.array([-0.0, 0.0]), (net.ACT_IDENTITY,) * 2).zero_bias
     nw = net.Network(layers=(layer,), meta={})
@@ -123,18 +123,30 @@ def test_forward_empty_and_identity():
         net.forward(ident, np.zeros(3))
 
 
+def unfused(gadgets):
+    """Gadgets as a network of their own: each gadget's relu layer, then its
+    read-out map as an identity layer (synthesize folds that map into the
+    next layer instead)."""
+    layers = []
+    for Wa, acts, Wb in gadgets:
+        layers += [
+            net.Layer(Wa, np.zeros(len(Wa)), acts),
+            net.Layer(Wb, np.zeros(len(Wb)), (net.ACT_IDENTITY,) * len(Wb)),
+        ]
+    return net.Network(layers=tuple(layers), meta={})
+
+
 def compare_exchange(d, j, k):
     """The compare-exchange of synthesize on a d-vector: max at j, min at k."""
-    return net.Network(
-        layers=tuple(net._max_min(d, [(j, k)], ("max", "min"), net.TAG_REFLECTION)), meta={}
-    )
+    return unfused([net._max_min(d, [(j, k)], ("max", "min"))])
 
 
 @pytest.mark.parametrize("j,k", [(0, 1), (1, 3), (3, 0)])
 def test_compare_exchange_orders_the_pair(j, k):
     block = compare_exchange(5, j, k)
-    assert len(block.layers) == 2
     assert [l.out_dim for l in block.layers] == [6, 5]
+    assert block.layers[0].acts == (net.ACT_IDENTITY, net.ACT_RELU, net.ACT_RELU) + (
+        net.ACT_IDENTITY,) * 3
     X = np.random.default_rng(j + k).normal(size=(2_000, 5))
     out = net.forward(block, X)
     assert np.abs(out[:, j] - np.maximum(X[:, j], X[:, k])).max() <= 1e-12
@@ -151,58 +163,56 @@ def test_compare_exchange_idempotent():
     assert np.abs(net.forward(block, once) - once).max() <= 1e-12
 
 
+def translation_stage(basis, M):
+    """The translation layers of the M network: their output is u = frac(y Ginv)."""
+    f = bd.build_boundary(basis)
+    nw = net.synthesize(basis, fo.build_schedule(basis.fid, basis), f, M=M)
+    stage = tuple(l for l in nw.layers if l.tag == net.TAG_TRANSLATION)
+    return net.Network(layers=stage, meta={})
+
+
 def test_translation_block_shape_and_levels():
+    """One sawtooth layer per level: y Ginv / 2^(M-1), then the doubling map 2u."""
     basis = lat.build_basis(FamilyId("an", 3))
-    block = net.translation_block(basis, level=1, M=2)
-    assert len(block.layers) == 3
-    assert [l.acts for l in block.layers] == [
-        (net.ACT_IDENTITY,) * 3,
-        (net.ACT_SAWTOOTH2,) * 3,
-        (net.ACT_IDENTITY,) * 3,
-    ]
-    with pytest.raises(DomainError):
-        net.translation_block(basis, level=0, M=2)
-    with pytest.raises(DomainError):
-        net.translation_block(basis, level=3, M=2)
-
-
-def _compose(fragments):
-    layers = []
-    for frag in fragments:
-        layers.extend(frag.layers)
-    return net.Network(layers=tuple(layers), meta={})
+    for M in (1, 2, 3):
+        stage = translation_stage(basis, M)
+        assert len(stage.layers) == M
+        assert all(l.acts == (net.ACT_SAWTOOTH2,) * 3 and l.zero_bias for l in stage.layers)
+        assert np.array_equal(stage.layers[0].W, basis.Ginv.T / 2 ** (M - 1))
+        for layer in stage.layers[1:]:
+            assert np.array_equal(layer.W, 2 * np.eye(3))
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_translation_blocks_match_floor_oracle(M):
     basis = lat.build_basis(FamilyId("dn-second", 4))
-    blocks = _compose([net.translation_block(basis, l, M) for l in range(1, M + 1)])
+    stage = translation_stage(basis, M)
     rng = np.random.default_rng(10 + M)
     alpha = rng.random((1_000, 4))
     alpha[:, 1:] *= 2.0**M
     frac = alpha[:, 1:] - np.floor(alpha[:, 1:])
     keep = ((frac > 1e-6) & (frac < 1 - 1e-6)).all(axis=1)
     Y0 = alpha[keep] @ basis.G
-    got = net.forward(blocks, Y0)
+    got = net.forward(stage, Y0)
+    alpha0 = Y0 @ basis.Ginv
+    assert np.abs(got - (alpha0 - np.floor(alpha0))).max() <= 1e-9
     y, _ = oracles.reduce_to_parallelotope(basis, Y0, M)
-    assert np.abs(got - y).max() <= 1e-9
+    assert np.abs(got @ basis.G - y).max() <= 1e-9
 
 
 def test_translation_blocks_periodicity():
     basis = lat.build_basis(FamilyId("an", 3))
-    M = 2
-    blocks = _compose([net.translation_block(basis, l, M) for l in range(1, M + 1)])
+    stage = translation_stage(basis, 2)
     Y = lat.sample_parallelotope(basis, seed=11, count=500)
     shifted = Y + 2 * basis.G[1] + 3 * basis.G[2]
-    a = net.forward(blocks, Y)
-    b = net.forward(blocks, shifted)
-    assert np.abs(a - Y).max() <= 1e-9
-    assert np.abs(b - Y).max() <= 1e-9
+    alpha = Y @ basis.Ginv
+    assert np.abs(net.forward(stage, Y) - alpha).max() <= 1e-9
+    assert np.abs(net.forward(stage, shifted) - alpha).max() <= 1e-9
 
 
 def tree(k, combine):
     """The max or min tree of synthesize over k scalar inputs."""
-    return net.Network(layers=tuple(net._tree_layers([k], combine)), meta={})
+    return unfused(net._tree([k], combine))
 
 
 def test_max_min_net_examples():
@@ -219,16 +229,16 @@ def test_max_min_net_random(k):
     mn = net.forward(tree(k, "min"), X)[:, 0]
     assert np.abs(mx - X.max(axis=1)).max() <= 1e-12
     assert np.abs(mn - X.min(axis=1)).max() <= 1e-12
-    assert len(tree(k, "max").layers) == 2 * math.ceil(math.log2(k))
+    assert len(net._tree([k], "max")) == math.ceil(math.log2(k))
 
 
 def test_stats_and_depth_accounting():
     basis, f, sched = make("an", 3)
     nw = net.synthesize(basis, sched, f, M=0)
-    assert nw.meta["depth"] == len(nw.layers) == 9
+    assert nw.meta["depth"] == len(nw.layers) == 5
     assert nw.meta["width"] == max(l.out_dim for l in nw.layers) == 7
     nw2 = net.synthesize(basis, sched, f, M=2)
-    assert nw2.meta["depth"] == len(nw2.layers) == 9 + 6
+    assert nw2.meta["depth"] == len(nw2.layers) == 5 + 2
     # the reduction stage never exceeds the width bound of the construction
     for layer in nw2.layers:
         if layer.tag in (net.TAG_TRANSLATION, net.TAG_REFLECTION):
@@ -238,12 +248,12 @@ def test_stats_and_depth_accounting():
 @pytest.mark.parametrize(
     "family,n,depth",
     [
-        ("an", 3, 9),
-        ("dn-const-a", 3, 7),
-        ("dn-const-a", 4, 13),
-        ("dn-second", 3, 9),
-        ("dn-second", 5, 17),
-        ("en", 6, 23),
+        ("an", 3, 5),
+        ("dn-const-a", 3, 4),
+        ("dn-const-a", 4, 7),
+        ("dn-second", 3, 5),
+        ("dn-second", 5, 9),
+        ("en", 6, 12),
     ],
 )
 def test_depth_formula_frozen(family, n, depth):
@@ -256,8 +266,34 @@ def test_depth_formula_frozen(family, n, depth):
 
 
 @pytest.mark.parametrize(
+    "family,n,M,width",
+    [("an", 8, 0, 22), ("an", 8, 2, 22), ("en", 8, 2, 82), ("dn-const-a", 5, 1, 10),
+     ("dn-second", 5, 2, 26), ("dn-second", 24, 0, 197)],
+)
+def test_fused_layer_structure(family, n, M, width):
+    """Every linear map folds into the next layer: M sawtooth layers, one
+    relu layer per compare-exchange and per max/min tree stage, and one
+    closing affine layer, so no hidden layer is identity-only."""
+    basis = lat.build_basis(FamilyId(family, n))
+    sched = fo.build_schedule(basis.fid, basis)
+    f = bd.build_boundary(basis, fo.chamber_corners(basis, sched))
+    nw = net.synthesize(basis, sched, f, M=M)
+    sizes = np.unique(fo.build_folded_boundary(f, sched).group, return_counts=True)[1]
+    assert nw.meta["depth"] == len(nw.layers) == M + net.base_depth(
+        len(fo.comparators(sched)), sizes.tolist())
+    assert nw.meta["width"] == width
+    assert set(nw.meta["activations"]) <= {net.ACT_RELU, net.ACT_IDENTITY, net.ACT_SAWTOOTH2}
+    assert [l.tag == net.TAG_TRANSLATION for l in nw.layers] == [True] * M + [False] * (
+        len(nw.layers) - M)
+    assert sum(l.tag == net.TAG_PIECES for l in nw.layers) == 1
+    for layer in nw.layers[:-1]:
+        assert set(layer.acts) != {net.ACT_IDENTITY}
+    assert set(nw.layers[-1].acts) == {net.ACT_IDENTITY}
+
+
+@pytest.mark.parametrize(
     "M,activations",
-    [(0, ["relu", "neg_relu", "identity"]), (1, ["relu", "neg_relu", "identity", "sawtooth2"])],
+    [(0, ["relu", "identity"]), (1, ["relu", "identity", "sawtooth2"])],
 )
 def test_meta_lists_activations(M, activations):
     # only the M = 0 network is ReLU alone; M >= 1 adds the discontinuous sawtooth
@@ -268,11 +304,16 @@ def test_meta_lists_activations(M, activations):
 
 
 def test_piece_stage_unit_count_dn_const_a3():
+    """The 3 surviving pieces, in groups of 2 and 1, fold into the first
+    max-tree layer: the pair takes 3 units and the lone piece 1."""
     basis, f, sched = make("dn-const-a", 3)
     nw = net.synthesize(basis, sched, f, M=0)
+    assert nw.meta["provenance"]["pieces"] == 3
     piece_layers = [l for l in nw.layers if l.tag == net.TAG_PIECES]
     assert len(piece_layers) == 1
-    assert piece_layers[0].out_dim == 3
+    assert piece_layers[0].out_dim == 4
+    assert piece_layers[0].acts == (
+        net.ACT_IDENTITY, net.ACT_RELU, net.ACT_RELU, net.ACT_IDENTITY)
 
 
 @pytest.mark.parametrize(
@@ -304,19 +345,22 @@ def test_synthesize_full_and_chamber_f_agree(family, n, M):
 
 @pytest.mark.parametrize("M", [1, 2])
 def test_synthesized_equals_extension(M):
-    basis, f, sched = make("an", 3)
-    nw = net.synthesize(basis, sched, f, M=M)
-    assert nw.layers[0].in_dim == basis.n
-    rng = np.random.default_rng(13 + M)
-    alpha = rng.random((2_000, 3))
-    alpha[:, 1:] *= 2.0**M
-    frac = alpha[:, 1:] - np.floor(alpha[:, 1:])
-    keep = ((frac > 1e-6) & (frac < 1 - 1e-6)).all(axis=1)
-    Y0 = alpha[keep] @ basis.G
-    out = net.forward(nw, Y0)[:, 0]
-    y, _ = oracles.reduce_to_parallelotope(basis, Y0, M)
-    ref, _ = bd.eval_boundary_batch(f, y[:, 1:])
-    assert np.abs(out - ref).max() <= 1e-9
+    # off the faces of the extended box, where the sawtooth jumps on every
+    # family but an
+    for family, n in [("an", 3), ("dn-const-a", 5), ("dn-second", 5), ("en", 6)]:
+        basis, f, sched = make(family, n)
+        nw = net.synthesize(basis, sched, f, M=M)
+        assert nw.layers[0].in_dim == basis.n
+        rng = np.random.default_rng(13 + M)
+        alpha = rng.random((2_000, n))
+        alpha[:, 1:] *= 2.0**M
+        frac = alpha[:, 1:] - np.floor(alpha[:, 1:])
+        keep = ((frac > 1e-6) & (frac < 1 - 1e-6)).all(axis=1)
+        Y0 = alpha[keep] @ basis.G
+        out = net.forward(nw, Y0)[:, 0]
+        y, _ = oracles.reduce_to_parallelotope(basis, Y0, M)
+        ref, _ = bd.eval_boundary_batch(f, y[:, 1:])
+        assert np.abs(out - ref).max() <= 1e-9, (family, n)
 
 
 def test_synthesize_rejects_rank_mismatch():
