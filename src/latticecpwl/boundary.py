@@ -25,9 +25,9 @@ DECODE_TOL = 1e-7
 # points per block of _height_blocks, whose (planes x points) heights and
 # (groups x points) maxima then stay in cache
 EVAL_ROWS = 512
-# blocks per chunk of _min_max_near: 16,384 points, so its group reductions
-# take packed rows of 2 kB, and a chunk's two (planes x points) bool tables
-# take 5.4 MB at en 8 (161 planes)
+# blocks per chunk of _min_max_near: 16,384 points (the last chunk takes the
+# tail, up to 32,767), so its group reductions take packed rows of 2-4 kB;
+# only one block's bools are held, 2 x 161 x 1,023 at most at en 8
 EVAL_CHUNK = 32
 # fewest memberships for which _min_max_near certifies: below it the float
 # gather of _min_max costs less than the certificate's per-point work (on
@@ -42,12 +42,13 @@ class BoundaryFunction:
 
     Planes are deduplicated by exact integer keys, groups as whole sets. Row
     m of `memberships` is the pair (group g, plane p), laid out in (g, p)
-    order, so each group's rows are contiguous; eval reports the active
-    membership id, so distinct active ids over the domain count pieces.
-    `pair_memb` holds the membership of each neighbor pair (the group of its
-    C^1 endpoint, the plane of its bisector); every membership has a pair,
-    and pairs come corner by corner. The dense oracle `eval_boundary_batch`
-    reads all of it; `folding.FoldedBoundary` serves points.
+    order, so each group's rows are contiguous. The dense oracle
+    `eval_boundary_batch` returns each point's active membership id, so
+    distinct active ids over the domain count pieces; the `eval` command
+    prints values only, served by `folding.FoldedBoundary`. `pair_memb`
+    holds the membership of each neighbor pair (the group of its C^1
+    endpoint, the plane of its bisector); every membership has a pair, and
+    pairs come corner by corner.
     """
 
     basis: OrientedBasis
@@ -275,12 +276,12 @@ def _min_max_near(
     above the band and every group has a member in it or above it: then the
     min-max lies in the band, and it is one of the heights, so it is v.
     Heights come from `_height_blocks`, as in `_min_max`. The tests are
-    bits per column, "at most the band's ceiling" and "at least its floor",
-    packed over the points of EVAL_CHUNK whole blocks: AND over
-    each group's members then OR over the groups, OR then AND, and one
-    column in both. A block with a row that fails takes `_min_max` itself,
-    so the values never depend on t, and a t off by more than tol shows in
-    |values - t|. Below NEAR_MEMBERSHIPS memberships it is `_min_max`
+    bits per column, "at most the band's ceiling" and "at least its floor".
+    Each block packs its bits into its chunk's bytes (chunks of EVAL_CHUNK
+    blocks, the last taking the tail), and per chunk: AND over each group's
+    members then OR over the groups, OR then AND, and one column in both.
+    A block with a row that fails takes `_min_max` itself, so the values
+    never depend on t, and a t off by more than tol shows in |values - t|. Below NEAR_MEMBERSHIPS memberships it is `_min_max`
     itself."""
     if len(group) < NEAR_MEMBERSHIPS:
         return _min_max(X, W, bias, group, column)
@@ -288,28 +289,26 @@ def _min_max_near(
     floor, ceil = t - tol, t + tol
     count = X.shape[0]
     vals, ok = np.empty(count), np.empty(count, dtype=bool)
-    # per column and row of a chunk (EVAL_CHUNK blocks, or fewer and the
-    # tail block): height at most the band's ceiling, and at least its floor
-    under, reach = np.empty((2, W.shape[1], min(count, (EVAL_CHUNK + 1) * EVAL_ROWS)), dtype=bool)
-    first = 0  # first row of the chunk
-    for b, (lo, hi, Ht) in enumerate(_height_blocks(X, W, bias), 1):
-        rows = slice(lo - first, hi - first)
-        np.less_equal(Ht, ceil[lo:hi], out=under[:, rows])
-        np.greater_equal(Ht, floor[lo:hi], out=reach[:, rows])
-        # the max over the band is v where the row is certified (a sparse
-        # mask: numpy's masked max is several times slower on a dense one)
-        Ht.max(axis=0, where=under[:, rows] & reach[:, rows], initial=-np.inf, out=vals[lo:hi])
-        if b % EVAL_CHUNK and hi < count:
-            continue
-        low = np.packbits(under[:, : hi - first], axis=1)
-        high = np.packbits(reach[:, : hi - first], axis=1)
+    for clo, chi in _tail_blocks(count, EVAL_CHUNK * EVAL_ROWS):
+        # per column, the chunk's packed bits: height at most the band's
+        # ceiling, and at least its floor
+        low, high = packed = np.empty((2, W.shape[1], (chi - clo + 7) // 8), dtype=np.uint8)
+        for lo, hi, Ht in _height_blocks(X[clo:chi], W, bias):
+            rows = slice(clo + lo, clo + hi)
+            under, reach = bits = np.empty((2, *Ht.shape), dtype=bool)
+            np.less_equal(Ht, ceil[rows], out=under)
+            np.greater_equal(Ht, floor[rows], out=reach)
+            # the max over the band is v where the row is certified (a sparse
+            # mask: numpy's masked max is several times slower on a dense one)
+            Ht.max(axis=0, where=under & reach, initial=-np.inf, out=vals[rows])
+            # lo is a multiple of EVAL_ROWS, so the block's bits start a byte
+            packed[:, :, lo // 8 : (hi + 7) // 8] = np.packbits(bits, axis=2)
         certified = (
             np.bitwise_or.reduce(_group_reduce(np.bitwise_and, low, ranked, larger))
             & np.bitwise_and.reduce(_group_reduce(np.bitwise_or, high, ranked, larger))
             & _exactly_one(low & high)
         )
-        ok[first:hi] = np.unpackbits(certified, count=hi - first).view(bool)
-        first = hi
+        ok[clo:chi] = np.unpackbits(certified, count=chi - clo).view(bool)
     if not ok.all():
         for lo, hi in _tail_blocks(count, EVAL_ROWS):
             if not ok[lo:hi].all():

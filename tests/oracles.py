@@ -367,23 +367,33 @@ def reduce_to_parallelotope(
 
 
 def reference_forward(network: net.Network, x: np.ndarray) -> np.ndarray:
-    """`network.forward` by its original route: per layer X W^T + b, then a
-    copy of it on which each activation kind is applied through the indices
-    of its units, found from the layer's acts on every call."""
+    """`network.forward` by a plain route: per block of points and per layer
+    W X^T + b, then a copy of it on which each activation kind is applied
+    through the indices of its units, found from the layer's acts on every
+    call. The blocks are forward's own (a step of a multiple of 8 points
+    from the widest layer, the last block taking the tail), so each product
+    has forward's shape and rounds as it does on any BLAS kernel."""
     arr = np.asarray(x, dtype=float)
     X = np.atleast_2d(arr)
-    for layer in network.layers:
-        Z = X @ layer.W.T + layer.b
-        X = Z.copy()
-        kinds = np.array(layer.acts)
-        for kind in (net.ACT_RELU, net.ACT_SAWTOOTH2):
-            idx = np.flatnonzero(kinds == kind)
-            if idx.size == 0:
-                continue
-            if kind == net.ACT_RELU:
-                X[:, idx] = np.maximum(Z[:, idx], 0.0)
-            else:
-                X[:, idx] = Z[:, idx] - np.floor(Z[:, idx])
+    widest = max((layer.out_dim for layer in network.layers), default=1)
+    step = max(8, (1 << 18) // widest // 8 * 8)
+    blocks = []
+    for lo, hi in bnd._tail_blocks(X.shape[0], step):
+        Y = X[lo:hi].T
+        for layer in network.layers:
+            Z = layer.W @ Y + layer.b[:, None]
+            Y = Z.copy()
+            kinds = np.array(layer.acts)
+            for kind in (net.ACT_RELU, net.ACT_SAWTOOTH2):
+                idx = np.flatnonzero(kinds == kind)
+                if idx.size == 0:
+                    continue
+                if kind == net.ACT_RELU:
+                    Y[idx] = np.maximum(Z[idx], 0.0)
+                else:
+                    Y[idx] = Z[idx] - np.floor(Z[idx])
+        blocks.append(Y.T)
+    X = np.concatenate(blocks)
     return X[0] if arr.ndim == 1 else X
 
 

@@ -285,9 +285,9 @@ def test_fold_check_shows_a_wrong_fold(monkeypatch, wrong, fallbacks):
 
 def test_fold_check_memory_is_bounded():
     """200k samples at en 8 (161 planes, 1,205 memberships): the dense side
-    takes its bits in chunks of EVAL_CHUNK blocks, so the check peaks near
-    26.4 MB, most of it the samples and their fold. The float-gather dense
-    side it replaced peaked at 27.96 MB."""
+    takes its bits in chunks of EVAL_CHUNK blocks, packed block by block,
+    so the check peaks near 26.6 MB, most of it the samples and their fold.
+    The float-gather dense side it replaced peaked at 27.96 MB."""
     _, _, f, _ = make("en", 8)
     tracemalloc.start()
     try:
@@ -296,6 +296,23 @@ def test_fold_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 28_000_000
+
+
+def test_fold_check_working_set_at_10k():
+    """10k samples at en 8, traced on a second call, so every memoized
+    builder has run: the dense side holds one block's bools and its chunk's
+    packed bits, so the check peaks near 3.3 MB (5.1 MB on a first call,
+    which also builds the fold-first boundary). Chunk-wide bool tables of
+    planes x points, packed once per chunk, peaked at 5.9 MB (7.8 MB)."""
+    _, _, f, _ = make("en", 8)
+    fo.verify_fold_invariance(f, seed=3, count=10_000)
+    tracemalloc.start()
+    try:
+        fo.verify_fold_invariance(f, seed=3, count=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_500_000
 
 
 @pytest.mark.parametrize("family,n", sorted(FOLDED_STRUCTURE))

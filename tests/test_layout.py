@@ -2,8 +2,8 @@
 layout: the fold's compare-exchange sort against the sort of point rows,
 fold-first, dense and certified dense min-max values against their
 references, and the blocked network forward against the layer-by-layer
-reference, at point counts around the kernels' block sizes and on
-exact-tie inputs."""
+reference, at point counts around the kernels' block and chunk sizes and
+on exact-tie inputs."""
 from __future__ import annotations
 
 import numpy as np
@@ -81,16 +81,50 @@ def test_certified_dense_values_match_min_max(family, n, monkeypatch):
         assert near.tobytes() == bd._min_max(*args).tobytes()
 
 
+# around one chunk of _min_max_near (EVAL_CHUNK blocks), around its tail
+# rule, and two chunks, the second taking the tail
+CHUNK_COUNTS = (16_383, 16_384, 16_385, 16_895, 16_896, 16_897, 33_280)
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("family", ["an", "en"])
+def test_certified_dense_values_across_chunks(family, moved, monkeypatch):
+    """The certificate's bits are packed block by block into each chunk's
+    bytes; at counts around the chunk size the values still equal
+    `_min_max`'s byte for byte. With the fold-first t every point is
+    certified and no block falls back; with t moved by 1e-6 at every 7th
+    point every block, in both chunks, takes `_min_max` itself."""
+    basis = lat.build_basis(FamilyId(family, 8))
+    f = bd.build_boundary(basis)
+    Y = lat.sample_domain(basis, seed=8, count=max(CHUNK_COUNTS))
+    folded = fo.eval_folded_batch(fo.fold_first(basis), Y)
+    if moved:
+        folded[::7] += 1e-6
+    min_max, fallbacks = bd._min_max, []
+
+    def spy(X, *rest):
+        fallbacks.append(len(X))
+        return min_max(X, *rest)
+
+    monkeypatch.setattr(bd, "_min_max", spy)
+    for count in CHUNK_COUNTS:
+        args = (Y[:count], f.A.T, f.c, *f.memberships.T)
+        fallbacks.clear()
+        near = bd._min_max_near(*args, folded[:count], fo.FOLD_DEV_LIMIT)
+        assert near.tobytes() == min_max(*args).tobytes()
+        blocks = bd._tail_blocks(count, bd.EVAL_ROWS) if moved else []
+        assert fallbacks == [hi - lo for lo, hi in blocks]
+
+
 @pytest.mark.parametrize("M", [0, 1, 2])
 @pytest.mark.parametrize("family,n", INSTANCES)
 def test_forward_matches_reference_across_blocks(family, n, M):
     """Counts on both sides of forward's block size: one block of step
     points and of 2 * step - 8, then two blocks, the second taking the
-    tail. Where every block holds a multiple of 8 points, as forward's step
-    does, forward equals the reference bit for bit. A ragged run of points
-    can go through other BLAS kernels (with OpenBLAS's Haswell and Zen
-    kernels it does at n = 8, M >= 1, by up to 9e-15), so at ragged counts
-    the two agree to 1e-12."""
+    tail. The reference takes forward's blocks, so each product has the
+    same shape on both sides and forward equals it bit for bit at every
+    count, ragged ones too, whichever BLAS kernels run (checked with
+    OpenBLAS's default, Haswell and Sandybridge kernels)."""
     fid = FamilyId(family, n)
     basis = lat.build_basis(fid)
     f = bd.build_boundary(basis)
@@ -103,8 +137,4 @@ def test_forward_matches_reference_across_blocks(family, n, M):
             alpha = Y @ basis.Ginv
             alpha[:, 1:] *= 2.0**M
             X = alpha @ basis.G
-        got, ref = net.forward(nw, X), oracles.reference_forward(nw, X)
-        if len(X) % 8:
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-        else:
-            assert np.array_equal(got, ref)
+        assert np.array_equal(net.forward(nw, X), oracles.reference_forward(nw, X))
