@@ -1,9 +1,9 @@
 """Reflection folding of the boundary-function domain.
 
-A family's schedule is its blocks of basis indices. Each reflection of the
-fold swaps two coordinates of c = y~ Gt^T within a block, so the fold is
-the sort of c descending per block. `comparators` lists that sort's
-compare-exchanges once: `sort_fold` runs them on points, and
+A schedule is the blocks of basis indices whose swaps keep the Gram. Each
+reflection of the fold swaps two coordinates of c = y~ Gt^T within a block,
+so the fold is the sort of c descending per block. `comparators` lists
+that sort's compare-exchanges once: `sort_fold` runs them on points, and
 `network.synthesize` compiles each into a ReLU unit. The module also finds
 the pieces that survive on the folded domain, evaluates f fold-first over
 them, and verifies that f is invariant under the fold.
@@ -25,43 +25,42 @@ THREADS_ENV = "LATTICE_FOLD_THREADS"
 # the band in which its dense side certifies f from the fold-first value
 FOLD_DEV_LIMIT = 1e-9
 
-# a family's fold: ascending 1-based basis indices per block, blocks disjoint
+# a basis's fold: ascending 1-based basis indices per block, blocks disjoint
 Schedule = tuple[tuple[int, ...], ...]
 
 
 def build_schedule(fid: lat.FamilyId, basis: lat.OrientedBasis) -> Schedule:
-    """The family's fold as blocks of basis indices (1-based, ascending):
-    an and dn-const-a (2..n), dn-second (3..n), en (2,3) and (4..n), less
-    blocks of fewer than two. Raises ConstructionError unless the basis has
-    the family's rank and each swap of two adjacent indices of a block
-    leaves the integer Gram invariant. Adjacent swaps generate the block's
-    permutations, so then every swap of two indices of a block does.
+    """The fold as blocks of basis indices (1-based, ascending), read off the
+    integer Gram: the classes of indices 2..n whose transpositions keep it,
+    less classes of one index. Index 1 carries the decoded bit and stays out.
+    The transpositions that keep the Gram generate a group, and (i k) =
+    (i j)(j k)(i j), so they are an equivalence: k joins the block whose
+    first index it swaps with. Raises ConstructionError unless basis is fid's.
 
-    Then the reflection across the bisector of b_j and b_k (its normal
+    The reflection across the bisector of b_j and b_k of a block (its normal
     b_j - b_k has first coordinate zero) swaps c_j and c_k of c = y~ Gt^T,
     and z gram (e_j - e_k) = (g_jj - g_jk)(z_j - z_k) with g_jj > g_jk (the
     Gram is positive definite), so the non-negative side of all of them is
     the descending order within each block, for points and corners alike:
     the fold is the sort.
     """
-    if basis.n != fid.n:
-        raise ConstructionError(f"basis rank {basis.n} does not match family rank {fid.n}")
-    n = fid.n
-    if fid.family == lat.FAMILY_EN:
-        blocks = [range(2, 4), range(4, n + 1)]
-    else:
-        blocks = [range(3 if fid.family == lat.FAMILY_DN_SECOND else 2, n + 1)]
-    schedule = tuple(tuple(b) for b in blocks if len(b) > 1)
-    gram = np.asarray(basis.gram).tolist()
-    for blk in schedule:
-        for j, k in zip(blk, blk[1:]):
+    if fid != basis.fid:
+        raise ConstructionError(f"the basis is {basis.fid}, not {fid}")
+    gram = basis.gram.tolist()
+    blocks: list[list[int]] = []
+    for k in range(2, basis.n + 1):
+        for blk in blocks:
             # the Gram is symmetric, so it is invariant under the swap iff
             # row k is row j with its entries j and k traded
+            j = blk[0]
             row = gram[j - 1][:]
             row[j - 1], row[k - 1] = row[k - 1], row[j - 1]
-            if row != gram[k - 1]:
-                raise ConstructionError(f"the fold does not swap b_{j} and b_{k}")
-    return schedule
+            if row == gram[k - 1]:
+                blk.append(k)
+                break
+        else:
+            blocks.append([k])
+    return tuple(tuple(blk) for blk in blocks if len(blk) > 1)
 
 
 def comparators(schedule: Schedule) -> list[tuple[int, int]]:
@@ -104,8 +103,8 @@ def chamber_corners(basis: lat.OrientedBasis, schedule: Schedule) -> np.ndarray:
     """The corner labels z on the non-negative side of every comparator,
     lexicographically ordered: sorted descending within each schedule block
     and free elsewhere. These are the corners of the neighbor pairs that
-    survive the fold: 2n for an and dn-const-a, 4n - 4 for dn-second,
-    6n - 12 for en, against 2^n in all."""
+    survive the fold: m + 1 per block of m indices times 2 per free index,
+    against 2^n in all."""
     free = set(range(1, basis.n + 1)).difference(*schedule)
     z = np.zeros((1, basis.n), dtype=np.int64)
     for blk in schedule + tuple((j,) for j in sorted(free)):
@@ -168,7 +167,7 @@ def build_folded_boundary(f: bnd.BoundaryFunction, schedule: Schedule) -> Folded
 
 
 def fold_first(basis: lat.OrientedBasis) -> FoldedBoundary:
-    """The fold-first evaluator of f: the basis family's schedule, f from
+    """The fold-first evaluator of f: the basis's schedule, f from
     the chamber corners alone, and build_folded_boundary. Every pair of that
     f survives the fold, and its groups, as sets of planes, are the surviving
     groups of the f built from all 2^n corners.

@@ -235,6 +235,17 @@ def reference_sort_fold(basis: lat.OrientedBasis, Yt: np.ndarray) -> np.ndarray:
     return C
 
 
+def family_blocks(fid: lat.FamilyId) -> fld.Schedule:
+    """The fold's blocks written out per family, less blocks of one index:
+    an and dn-const-a (2..n), dn-second (3..n), en (2,3) and (4..n)."""
+    n = fid.n
+    if fid.family == lat.FAMILY_EN:
+        blocks = [range(2, 4), range(4, n + 1)]
+    else:
+        blocks = [range(3 if fid.family == lat.FAMILY_DN_SECOND else 2, n + 1)]
+    return tuple(tuple(blk) for blk in blocks if len(blk) > 1)
+
+
 def on_comparator_side(
     basis: lat.OrientedBasis, schedule: fld.Schedule, z: np.ndarray
 ) -> np.ndarray:

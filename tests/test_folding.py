@@ -126,7 +126,7 @@ def test_schedule_normals_are_basis_differences():
         np.testing.assert_allclose(mirrored @ basis.G[1:, 1:].T, swapped, rtol=0, atol=1e-12)
 
 
-def test_apply_fold_identity_on_folded_points():
+def test_sort_fold_identity_on_folded_points():
     # the fold is idempotent and fixes points already on the folded side
     _, basis, f, sched = make("dn-const-a", 4)
     Yt = lat.sample_domain(basis, seed=0, count=2_000)
@@ -137,7 +137,7 @@ def test_apply_fold_identity_on_folded_points():
     np.testing.assert_allclose(fold(basis, f, sched, already), already, rtol=0, atol=1e-12)
 
 
-def test_apply_fold_single_reflection_same_orbit():
+def test_sort_fold_single_reflection_same_orbit():
     _, basis, f, sched = make("an", 4)
     Yt = lat.sample_domain(basis, seed=1, count=500)
     v = normal(basis, *fo.comparators(sched)[2])
@@ -181,7 +181,7 @@ def test_single_pass_reaches_fixpoint():
         np.testing.assert_allclose(out, fold(basis, f, sched, Yt), rtol=0, atol=1e-12)
 
 
-def test_apply_fold_scalar_and_empty_schedule():
+def test_sort_fold_scalar_and_empty_schedule():
     _, basis, f, sched = make("dn-second", 3)
     assert len(sched) == 0
     ff = fo.build_folded_boundary(f, sched)
@@ -475,20 +475,50 @@ def test_schedule_blocks_and_fold_first_pairs(family, n, blocks):
         assert pairs[:3] == [(0, 1), (2, 3), (2, 4)]
 
 
-def test_build_schedule_rejects_a_basis_its_fold_does_not_swap():
-    # dn-second 4 has gram[0,1] = 0 but gram[0,2] = 1, so swapping b_2 and
-    # b_3, the first comparator of an 4, changes its Gram
-    other = lat.build_basis(FamilyId("dn-second", 4))
+@pytest.mark.parametrize("family,n,other", [("an", 4, "dn-second"), ("an", 8, "en")])
+def test_build_schedule_rejects_another_familys_basis(family, n, other):
+    # the basis must be fid's: dn-second 4 and en 8 have the an fid's rank,
+    # and their Grams give other blocks
+    basis = lat.build_basis(FamilyId(other, n))
     with pytest.raises(ConstructionError):
-        fo.build_schedule(FamilyId("an", 4), other)
+        fo.build_schedule(FamilyId(family, n), basis)
 
 
-def test_build_schedule_checks_every_adjacent_swap():
-    # en 8 has g_12 = g_13 = 0, so an 8's first swap, b_2 and b_3, holds;
-    # g_13 = 0 but g_14 = 1, so the next adjacent swap, b_3 and b_4, breaks
-    other = lat.build_basis(FamilyId("en", 8))
-    with pytest.raises(ConstructionError, match="b_3 and b_4"):
-        fo.build_schedule(FamilyId("an", 8), other)
+def gram_keeps_swap(gram, j, k):
+    """Whether swapping b_j and b_k (1-based) leaves the whole Gram as it is."""
+    p = np.arange(len(gram))
+    p[[j - 1, k - 1]] = [k - 1, j - 1]
+    return np.array_equal(gram[np.ix_(p, p)], gram)
+
+
+def family_instances(family):
+    """Every rank of the family from its lowest to 40 (en: 6-8), and 64 and
+    256 where it has no top."""
+    lo, hi = lat.FAMILY_RANGES[family]
+    return list(range(lo, (hi or 40) + 1)) + ([] if hi else [64, 256])
+
+
+@pytest.mark.parametrize("family", lat.FAMILIES)
+def test_schedule_is_the_family_table(family):
+    # the blocks read off the Gram are the family's written-out blocks
+    for n in family_instances(family):
+        fid = FamilyId(family, n)
+        assert fo.build_schedule(fid, lat.build_basis(fid)) == oracles.family_blocks(fid), n
+
+
+@pytest.mark.parametrize("family", lat.FAMILIES)
+def test_schedule_blocks_are_the_gram_swap_classes(family):
+    # maximality: two indices >= 2 swap without changing the Gram exactly
+    # when they share a block, so a swap across two blocks, or of a block
+    # index with a free one, changes it
+    for n in [m for m in family_instances(family) if m <= 64]:
+        fid = FamilyId(family, n)
+        basis = lat.build_basis(fid)
+        block_of = {j: b for b, blk in enumerate(fo.build_schedule(fid, basis)) for j in blk}
+        for j in range(2, n + 1):
+            for k in range(j + 1, n + 1):
+                same = j in block_of and block_of[j] == block_of.get(k)
+                assert gram_keeps_swap(basis.gram, j, k) == same, (n, j, k)
 
 
 def test_folded_oracle_small():
