@@ -5,12 +5,12 @@ extended box into the base cell, compare-exchange units that sort the
 fold-first coordinates c (the fold onto the non-negative side of the
 schedule hyperplanes, one unit per entry of `folding.comparators`), then
 the surviving pieces' affine map and max/min trees that combine them.
-Every linear map folds into the next layer, so each hidden layer applies
-relu or sawtooth units. Evaluation is exact layer-by-layer arithmetic;
-nothing is trained. Each layer finds the units of each activation once,
-when it is built. `forward` evaluates with points as columns, so each
-layer's output is a (units x points) array, and applies the activations in
-place on its rows.
+Every linear map folds into the next layer. Each hidden layer applies one
+activation to all its units, sawtooth2 in the translation layers and relu
+in every other, and the closing layer is affine. Evaluation is exact
+layer-by-layer arithmetic; nothing is trained. `forward` evaluates with
+points as columns, so each layer's output is a (units x points) array, and
+applies the layer's activation to it in place.
 """
 from __future__ import annotations
 
@@ -36,29 +36,19 @@ TAG_PIECES = "pieces"
 TAG_MAXMIN = "maxmin"
 
 
-def _units(acts: tuple[str, ...], kind: str) -> np.ndarray | None:
-    """A (units, 1) mask of the units of acts that apply kind, or None if
-    none does."""
-    mask = np.array([a == kind for a in acts], dtype=bool)[:, None]
-    return mask if mask.any() else None
-
-
 @dataclass(frozen=True)
 class Layer:
-    """One affine map plus a per-unit activation. W has shape (out, in).
+    """One affine map plus the activation all its units apply (identity
+    for an affine layer). W has shape (out, in).
 
-    Construction also records the plan `forward` follows: masks of the relu
-    and sawtooth2 units, which are rows of forward's (units x points)
-    output, and whether the bias is all zero, so that its add can be skipped
-    (x + 0.0 differs from x only at x = -0.0, which compares equal).
-    Sub-networks rebuilt from the same layers keep the plan."""
+    Construction also records whether the bias is all zero, so that
+    `forward` can skip its add (x + 0.0 differs from x only at x = -0.0,
+    which compares equal)."""
 
     W: np.ndarray
     b: np.ndarray
-    acts: tuple[str, ...]
+    act: str
     tag: str = ""
-    relu: np.ndarray | None = field(init=False, repr=False, compare=False)
-    sawtooth: np.ndarray | None = field(init=False, repr=False, compare=False)
     zero_bias: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,19 +58,12 @@ class Layer:
             raise ConstructionError(
                 f"layer shapes inconsistent: W {W.shape}, b {b.shape}"
             )
-        if len(self.acts) != W.shape[0]:
-            raise ConstructionError(
-                f"{len(self.acts)} activations for {W.shape[0]} units"
-            )
-        for a in self.acts:
-            if a not in ACTIVATIONS:
-                raise ConstructionError(f"unknown activation {a!r}")
+        if self.act not in ACTIVATIONS:
+            raise ConstructionError(f"unknown activation {self.act!r}")
         W.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "relu", _units(self.acts, ACT_RELU))
-        object.__setattr__(self, "sawtooth", _units(self.acts, ACT_SAWTOOTH2))
         object.__setattr__(self, "zero_bias", not b.any())
 
     @property
@@ -110,9 +93,8 @@ def forward(network: Network, x: np.ndarray) -> np.ndarray:
     identity. Points go as columns, in blocks sized so that the widest
     layer's output holds about 2^18 values (the last block takes the tail,
     `bnd._tail_blocks`). Each layer's W Y is a new (units x points) array,
-    so its bias add (skipped when all zero) and its activations, on the
-    rows the layer's masks select, run in place on it. Returns the (N, out)
-    transposed view of the (out x N) result."""
+    so its bias add (skipped when all zero) and its activation run in place
+    on it. Returns the (N, out) transposed view of the (out x N) result."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     X = arr.reshape(1, -1) if single else arr
@@ -135,25 +117,25 @@ def forward(network: Network, x: np.ndarray) -> np.ndarray:
             Y = layer.W @ Y
             if not layer.zero_bias:
                 Y += layer.b[:, None]
-            # masked in place, so no gathered copy of the selected rows is made
-            if layer.relu is not None:
-                np.maximum(Y, 0.0, out=Y, where=layer.relu)
-            if layer.sawtooth is not None:
-                np.subtract(Y, np.floor(Y), out=Y, where=layer.sawtooth)
+            if layer.act == ACT_RELU:
+                np.maximum(Y, 0.0, out=Y)
+            elif layer.act == ACT_SAWTOOTH2:
+                Y -= np.floor(Y)
         out[:, lo:hi] = Y
     return out[:, 0] if single else out.T
 
 
 def _max_min(
     dim: int, pairs: list[tuple[int, int]], keep: tuple[str, ...]
-) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """The max/min gadget on a dim-vector x, as its relu layer (map and
-    activations) and the linear map that reads the result off that layer's
-    units. Each pair (i, k) takes the units x_i + x_k, relu(x_i - x_k) and
-    relu(x_k - x_i); every input in no pair is carried by one identity unit.
-    The result holds max(x_i, x_k) at i, min(x_i, x_k) at k and the carried
-    inputs in place, less the ends of each pair that keep does not name
-    ("max", "min")."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The max/min gadget on a dim-vector x, as the map of its relu layer
+    and the linear map that reads the result off that layer's units. Each
+    pair (i, k) takes the units relu(x_i + x_k), relu(x_i - x_k) and
+    relu(x_k - x_i); every input in no pair is carried by one relu unit.
+    Exact for inputs x >= 0, where the sum and carry units pass their input
+    unchanged: the result holds max(x_i, x_k) at i, min(x_i, x_k) at k and
+    the carried inputs in place, less the ends of each pair that keep does
+    not name ("max", "min"). Its outputs are then >= 0 as well."""
     free = sorted(set(range(dim)).difference(*pairs))
     eye = np.eye(dim)
     i, k = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
@@ -167,8 +149,7 @@ def _max_min(
     rows = np.ones(dim, dtype=bool)
     rows[i] = "max" in keep
     rows[k] = "min" in keep
-    acts = (ACT_IDENTITY, ACT_RELU, ACT_RELU) * len(i) + (ACT_IDENTITY,) * len(free)
-    return Wa, acts, Wb[rows]
+    return Wa, Wb[rows]
 
 
 def _tree(sizes: list[int], combine: str) -> list:
@@ -214,8 +195,21 @@ def synthesize(
     affine map pending before it folded in: (P, p) starts as the map to c,
     the gadget's relu map W gives the layer W P, W p, its read-out map
     becomes the pending map, the piece map is composed into it, and one
-    identity layer emits what is left. For M >= 1 the input is the full
-    n-vector, for M = 0 the projected (n-1)-vector."""
+    affine layer emits what is left. For M >= 1 the input is the full
+    n-vector, for M = 0 the projected (n-1)-vector.
+
+    Every gadget unit is a relu unit, which the sum and carry units may be
+    only where their inputs are >= 0 (`_max_min`). The c they see lies in
+    the box [0, hi], hi = gram[:, 1:].sum(0): on P(B) c = alpha gram[:, 1:]
+    with alpha in [0, 1]^n, and for M >= 1 alpha is u = frac(alpha) in
+    [0, 1]^n at any input; no family's Gram has a negative entry. A
+    compare-exchange only permutes c within a block, whose Gram columns are
+    permutations of one another and so share one hi, so the box holds
+    through the reflection layers. Piece heights can be negative, so each
+    is lifted by one shift beta >= 0, the negated least height over the box
+    (heights are affine in c, so that minimum is exact), and the closing
+    layer subtracts beta. max and min commute with adding a constant, so
+    every tree unit is then >= 0."""
     if M < 0:
         raise DomainError(f"M must be >= 0, got {M}")
     # decode's rule: where the spacing of 2^M exceeds the tie band, the
@@ -239,8 +233,7 @@ def synthesize(
         # doubling map: u = frac(alpha / 2^(M-1)), then u <- frac(2u) per
         # further level (exact in floats), so u = frac(alpha) and c = gram[1:] u
         scales = [basis.Ginv.T / 2.0 ** (M - 1)] + [2.0 * np.eye(n)] * (M - 1)
-        saw = (ACT_SAWTOOTH2,) * n
-        layers += [Layer(W, np.zeros(n), saw, tag=TAG_TRANSLATION) for W in scales]
+        layers += [Layer(W, np.zeros(n), ACT_SAWTOOTH2, tag=TAG_TRANSLATION) for W in scales]
         P = basis.gram[1:].astype(float)
     else:
         # b_j . e_1 = 0 for j >= 2, so c = y~ G[1:, 1:]^T
@@ -248,15 +241,17 @@ def synthesize(
     p = np.zeros(n - 1)
 
     for pair in ff.pairs:
-        Wa, acts, Wb = _max_min(n - 1, [pair], ("max", "min"))
-        layers.append(Layer(Wa @ P, Wa @ p, acts, tag=TAG_REFLECTION))
+        Wa, Wb = _max_min(n - 1, [pair], ("max", "min"))
+        layers.append(Layer(Wa @ P, Wa @ p, ACT_RELU, tag=TAG_REFLECTION))
         P, p = Wb, np.zeros(len(Wb))
-    P, p = ff.W.T @ P, ff.W.T @ p + ff.bias
+    hi = basis.gram[:, 1:].sum(axis=0)
+    beta = max(0.0, -float((ff.bias + np.minimum(ff.W, 0.0).T @ hi).min()))
+    P, p = ff.W.T @ P, ff.W.T @ p + ff.bias + beta
     tag = TAG_PIECES
-    for Wa, acts, Wb in _tree(sizes, "max") + _tree([len(sizes)], "min"):
-        layers.append(Layer(Wa @ P, Wa @ p, acts, tag=tag))
+    for Wa, Wb in _tree(sizes, "max") + _tree([len(sizes)], "min"):
+        layers.append(Layer(Wa @ P, Wa @ p, ACT_RELU, tag=tag))
         P, p, tag = Wb, np.zeros(len(Wb)), TAG_MAXMIN
-    layers.append(Layer(P, p, (ACT_IDENTITY,) * len(p), tag=tag))
+    layers.append(Layer(P, p - beta, ACT_IDENTITY, tag=tag))
 
     expected = M + base_depth(len(ff.pairs), sizes)
     if len(layers) != expected:
@@ -266,7 +261,7 @@ def synthesize(
     meta = {
         "depth": len(layers),
         "width": max(l.out_dim for l in layers),
-        "activations": [a for a in ACTIVATIONS if any(a in l.acts for l in layers)],
+        "activations": [a for a in ACTIVATIONS if any(l.act == a for l in layers[:-1])],
         "provenance": {
             "translation_blocks": M,
             "comparators": len(ff.pairs),
@@ -280,8 +275,10 @@ def synthesize(
 
 
 def network_to_json(network: Network) -> str:
+    # one act entry per unit, as exported networks have always been read
     rows = [
-        {"w": layer.W.tolist(), "b": layer.b.tolist(), "act": list(layer.acts), "tag": layer.tag}
+        {"w": layer.W.tolist(), "b": layer.b.tolist(),
+         "act": [layer.act] * layer.out_dim, "tag": layer.tag}
         for layer in network.layers
     ]
     return json.dumps({"layers": rows, "meta": network.meta}, indent=2)

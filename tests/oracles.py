@@ -379,9 +379,8 @@ def reduce_to_parallelotope(
 
 def reference_forward(network: net.Network, x: np.ndarray) -> np.ndarray:
     """`network.forward` by a plain route: per block of points and per layer
-    W X^T + b, then a copy of it on which each activation kind is applied
-    through the indices of its units, found from the layer's acts on every
-    call. The blocks are forward's own (a step of a multiple of 8 points
+    W X^T + b, then a new array holding the layer's one activation applied
+    to it. The blocks are forward's own (a step of a multiple of 8 points
     from the widest layer, the last block taking the tail), so each product
     has forward's shape and rounds as it does on any BLAS kernel."""
     arr = np.asarray(x, dtype=float)
@@ -393,16 +392,12 @@ def reference_forward(network: net.Network, x: np.ndarray) -> np.ndarray:
         Y = X[lo:hi].T
         for layer in network.layers:
             Z = layer.W @ Y + layer.b[:, None]
-            Y = Z.copy()
-            kinds = np.array(layer.acts)
-            for kind in (net.ACT_RELU, net.ACT_SAWTOOTH2):
-                idx = np.flatnonzero(kinds == kind)
-                if idx.size == 0:
-                    continue
-                if kind == net.ACT_RELU:
-                    Y[idx] = np.maximum(Z[idx], 0.0)
-                else:
-                    Y[idx] = Z[idx] - np.floor(Z[idx])
+            if layer.act == net.ACT_RELU:
+                Y = np.maximum(Z, 0.0)
+            elif layer.act == net.ACT_SAWTOOTH2:
+                Y = Z - np.floor(Z)
+            else:
+                Y = Z
         blocks.append(Y.T)
     X = np.concatenate(blocks)
     return X[0] if arr.ndim == 1 else X

@@ -81,7 +81,7 @@ def reflection_image(basis, f, sched, Yt):
     if not stage:
         return Yt @ basis.G[1:, 1:].T
     last = fo.build_folded_boundary(f, sched).pairs[-1]
-    _, _, read_out = net._max_min(basis.n - 1, [last], ("max", "min"))
+    _, read_out = net._max_min(basis.n - 1, [last], ("max", "min"))
     return net.forward(net.Network(layers=stage, meta={}), Yt) @ read_out.T
 
 
@@ -148,7 +148,7 @@ def test_sort_fold_single_reflection_same_orbit():
 
 
 @pytest.mark.parametrize("family,n", sorted(FOLDED_STRUCTURE))
-def test_apply_fold_output_satisfies_predicate(family, n):
+def test_sort_fold_output_satisfies_predicate(family, n):
     # in c the sort meets every comparator's inequality c_j >= c_k exactly,
     # and it only permutes c within each block
     _, basis, f, sched = make(family, n)

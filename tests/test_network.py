@@ -3,6 +3,7 @@ the sawtooth translation stage, max/min trees, the fused layer structure,
 full synthesis equivalence, and serialization."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -31,48 +32,48 @@ def make(family, n):
 
 
 def test_activation_semantics():
-    layer = net.Layer(
-        np.eye(3),
-        np.zeros(3),
-        (net.ACT_RELU, net.ACT_IDENTITY, net.ACT_SAWTOOTH2),
-    )
-    nw = net.Network(layers=(layer,), meta={})
-    out = net.forward(nw, np.array([-1.5, -1.5, 1.75]))
-    assert np.array_equal(out, [0.0, -1.5, 0.75])
-    out = net.forward(nw, np.array([2.0, 2.0, -0.25]))
-    assert np.array_equal(out, [2.0, 2.0, 0.75])
+    # a layer applies its one activation to every unit
+    for act, low, high in [
+        (net.ACT_RELU, [0.0, 0.0], [2.0, 1.75]),
+        (net.ACT_IDENTITY, [-1.5, -0.25], [2.0, 1.75]),
+        (net.ACT_SAWTOOTH2, [0.5, 0.75], [0.0, 0.75]),
+    ]:
+        nw = net.Network(layers=(net.Layer(np.eye(2), np.zeros(2), act),), meta={})
+        assert np.array_equal(net.forward(nw, np.array([-1.5, -0.25])), low)
+        assert np.array_equal(net.forward(nw, np.array([2.0, 1.75])), high)
     assert net.ACTIVATIONS == (net.ACT_RELU, net.ACT_IDENTITY, net.ACT_SAWTOOTH2)
 
 
 def test_layer_validation():
     with pytest.raises(ConstructionError):
-        net.Layer(np.eye(2), np.zeros(3), (net.ACT_IDENTITY,) * 2)
+        net.Layer(np.eye(2), np.zeros(3), net.ACT_IDENTITY)
     with pytest.raises(ConstructionError):
-        net.Layer(np.eye(2), np.zeros(2), ("bogus", net.ACT_IDENTITY))
+        net.Layer(np.eye(2), np.zeros(2), "bogus")
     with pytest.raises(ConstructionError):
         net.Network(
             layers=(
-                net.Layer(np.eye(2), np.zeros(2), (net.ACT_IDENTITY,) * 2),
-                net.Layer(np.eye(3), np.zeros(3), (net.ACT_IDENTITY,) * 3),
+                net.Layer(np.eye(2), np.zeros(2), net.ACT_IDENTITY),
+                net.Layer(np.eye(3), np.zeros(3), net.ACT_IDENTITY),
             ),
             meta={},
         )
 
 
 def test_forward_plan_of_a_layer():
-    """A layer records its activation columns and whether its bias is all
-    zero; forward follows the plan and equals the reference forward."""
-    acts = (net.ACT_RELU, net.ACT_RELU, net.ACT_IDENTITY, net.ACT_RELU,
-            net.ACT_SAWTOOTH2, net.ACT_IDENTITY, net.ACT_SAWTOOTH2)
+    """A layer records whether its bias is all zero; forward skips the add
+    of a zero bias and, for each activation, equals the reference forward
+    with and without a bias."""
     rng = np.random.default_rng(4)
-    layer = net.Layer(rng.normal(size=(7, 3)), rng.normal(size=7), acts)
-    assert np.array_equal(np.flatnonzero(layer.relu), [0, 1, 3])
-    assert np.array_equal(np.flatnonzero(layer.sawtooth), [4, 6])
-    assert not layer.zero_bias
-    assert net.Layer(np.eye(2), np.array([-0.0, 0.0]), (net.ACT_IDENTITY,) * 2).zero_bias
-    nw = net.Network(layers=(layer,), meta={})
+    W, b = rng.normal(size=(7, 3)), rng.normal(size=7)
     X = rng.normal(size=(50, 3))
-    assert np.array_equal(net.forward(nw, X), oracles.reference_forward(nw, X))
+    for act in net.ACTIVATIONS:
+        layer = net.Layer(W, b, act)
+        assert not layer.zero_bias
+        unbiased = net.Layer(W, np.array([-0.0, 0.0] * 3 + [0.0]), act)
+        assert unbiased.zero_bias
+        for lay in (layer, unbiased):
+            nw = net.Network(layers=(lay,), meta={})
+            assert np.array_equal(net.forward(nw, X), oracles.reference_forward(nw, X))
 
 
 @pytest.mark.parametrize("M", [0, 2])
@@ -115,7 +116,7 @@ def test_forward_empty_and_identity():
     x = np.array([1.0, -2.0])
     assert np.array_equal(net.forward(empty, x), x)
     ident = net.Network(
-        layers=(net.Layer(np.eye(2), np.zeros(2), (net.ACT_IDENTITY,) * 2),),
+        layers=(net.Layer(np.eye(2), np.zeros(2), net.ACT_IDENTITY),),
         meta={},
     )
     assert np.array_equal(net.forward(ident, x), x)
@@ -125,13 +126,13 @@ def test_forward_empty_and_identity():
 
 def unfused(gadgets):
     """Gadgets as a network of their own: each gadget's relu layer, then its
-    read-out map as an identity layer (synthesize folds that map into the
+    read-out map as an affine layer (synthesize folds that map into the
     next layer instead)."""
     layers = []
-    for Wa, acts, Wb in gadgets:
+    for Wa, Wb in gadgets:
         layers += [
-            net.Layer(Wa, np.zeros(len(Wa)), acts),
-            net.Layer(Wb, np.zeros(len(Wb)), (net.ACT_IDENTITY,) * len(Wb)),
+            net.Layer(Wa, np.zeros(len(Wa)), net.ACT_RELU),
+            net.Layer(Wb, np.zeros(len(Wb)), net.ACT_IDENTITY),
         ]
     return net.Network(layers=tuple(layers), meta={})
 
@@ -145,9 +146,9 @@ def compare_exchange(d, j, k):
 def test_compare_exchange_orders_the_pair(j, k):
     block = compare_exchange(5, j, k)
     assert [l.out_dim for l in block.layers] == [6, 5]
-    assert block.layers[0].acts == (net.ACT_IDENTITY, net.ACT_RELU, net.ACT_RELU) + (
-        net.ACT_IDENTITY,) * 3
-    X = np.random.default_rng(j + k).normal(size=(2_000, 5))
+    assert [l.act for l in block.layers] == [net.ACT_RELU, net.ACT_IDENTITY]
+    # the gadget is exact on inputs >= 0, the only ones synthesize feeds it
+    X = np.abs(np.random.default_rng(j + k).normal(size=(2_000, 5)))
     out = net.forward(block, X)
     assert np.abs(out[:, j] - np.maximum(X[:, j], X[:, k])).max() <= 1e-12
     assert np.abs(out[:, k] - np.minimum(X[:, j], X[:, k])).max() <= 1e-12
@@ -157,7 +158,7 @@ def test_compare_exchange_orders_the_pair(j, k):
 
 def test_compare_exchange_idempotent():
     block = compare_exchange(3, 0, 2)
-    X = np.random.default_rng(0).normal(size=(500, 3))
+    X = np.abs(np.random.default_rng(0).normal(size=(500, 3)))
     once = net.forward(block, X)
     assert (once[:, 0] >= once[:, 2]).all()
     assert np.abs(net.forward(block, once) - once).max() <= 1e-12
@@ -177,7 +178,9 @@ def test_translation_block_shape_and_levels():
     for M in (1, 2, 3):
         stage = translation_stage(basis, M)
         assert len(stage.layers) == M
-        assert all(l.acts == (net.ACT_SAWTOOTH2,) * 3 and l.zero_bias for l in stage.layers)
+        assert all(
+            l.act == net.ACT_SAWTOOTH2 and l.out_dim == 3 and l.zero_bias for l in stage.layers
+        )
         assert np.array_equal(stage.layers[0].W, basis.Ginv.T / 2 ** (M - 1))
         for layer in stage.layers[1:]:
             assert np.array_equal(layer.W, 2 * np.eye(3))
@@ -224,7 +227,7 @@ def test_max_min_net_examples():
 @pytest.mark.parametrize("k", [2, 3, 5, 7])
 def test_max_min_net_random(k):
     rng = np.random.default_rng(k)
-    X = rng.normal(size=(100_000 // k, k))
+    X = np.abs(rng.normal(size=(100_000 // k, k)))
     mx = net.forward(tree(k, "max"), X)[:, 0]
     mn = net.forward(tree(k, "min"), X)[:, 0]
     assert np.abs(mx - X.max(axis=1)).max() <= 1e-12
@@ -273,7 +276,8 @@ def test_depth_formula_frozen(family, n, depth):
 def test_fused_layer_structure(family, n, M, width):
     """Every linear map folds into the next layer: M sawtooth layers, one
     relu layer per compare-exchange and per max/min tree stage, and one
-    closing affine layer, so no hidden layer is identity-only."""
+    closing affine layer; every hidden layer applies one activation, none
+    of them the identity."""
     basis = lat.build_basis(FamilyId(family, n))
     sched = fo.build_schedule(basis.fid, basis)
     f = bd.build_boundary(basis, fo.chamber_corners(basis, sched))
@@ -282,25 +286,69 @@ def test_fused_layer_structure(family, n, M, width):
     assert nw.meta["depth"] == len(nw.layers) == M + net.base_depth(
         len(fo.comparators(sched)), sizes.tolist())
     assert nw.meta["width"] == width
-    assert set(nw.meta["activations"]) <= {net.ACT_RELU, net.ACT_IDENTITY, net.ACT_SAWTOOTH2}
+    assert nw.meta["activations"] == [net.ACT_RELU] + [net.ACT_SAWTOOTH2] * (M > 0)
     assert [l.tag == net.TAG_TRANSLATION for l in nw.layers] == [True] * M + [False] * (
         len(nw.layers) - M)
     assert sum(l.tag == net.TAG_PIECES for l in nw.layers) == 1
-    for layer in nw.layers[:-1]:
-        assert set(layer.acts) != {net.ACT_IDENTITY}
-    assert set(nw.layers[-1].acts) == {net.ACT_IDENTITY}
+    assert [l.act for l in nw.layers] == [net.ACT_SAWTOOTH2] * M + [net.ACT_RELU] * (
+        len(nw.layers) - M - 1) + [net.ACT_IDENTITY]
 
 
 @pytest.mark.parametrize(
     "M,activations",
-    [(0, ["relu", "identity"]), (1, ["relu", "identity", "sawtooth2"])],
+    [(0, ["relu"]), (1, ["relu", "sawtooth2"])],
 )
 def test_meta_lists_activations(M, activations):
-    # only the M = 0 network is ReLU alone; M >= 1 adds the discontinuous sawtooth
+    # the M = 0 network is a ReLU network; M >= 1 adds the discontinuous
+    # sawtooth, and the closing affine layer is not listed
     basis, f, sched = make("dn-second", 4)
     nw = net.synthesize(basis, sched, f, M=M)
     assert nw.meta["activations"] == activations
-    assert sorted({a for l in nw.layers for a in l.acts}) == sorted(activations)
+    assert sorted({l.act for l in nw.layers[:-1]}) == sorted(activations)
+
+
+ACCEPTANCE_INSTANCES = (
+    [("an", n) for n in range(2, 9)]
+    + [("dn-const-a", n) for n in range(3, 9)]
+    + [("dn-second", n) for n in range(3, 9)]
+    + [("en", n) for n in range(6, 9)]
+)
+
+
+@pytest.mark.parametrize("M", [0, 2])
+@pytest.mark.parametrize("family,n", ACCEPTANCE_INSTANCES)
+def test_sum_and_carry_units_are_never_clipped(family, n, M):
+    """Each gadget's sum and carry units are relu units that must pass their
+    input unchanged: layer by layer, their pre-activations are >= -1e-12 on
+    10k points of the domain (the extended box for M = 2), every corner of
+    it and every midpoint of two corners."""
+    basis, f, sched = make(family, n)
+    nw = net.synthesize(basis, sched, f, M=M)
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=n)))
+    a, b = np.triu_indices(len(corners), 1)
+    alpha = np.concatenate([corners, (corners[a] + corners[b]) / 2])
+    alpha[:, 1:] *= 2.0**M
+    if M:
+        drawn = np.random.default_rng(n).random((10_000, n))
+        drawn[:, 1:] *= 2.0**M
+        X = np.concatenate([drawn, alpha]) @ basis.G
+    else:
+        drawn = lat.sample_domain(basis, seed=n, count=10_000)
+        X = np.concatenate([drawn, (alpha @ basis.G)[:, 1:]])
+    ff = fo.build_folded_boundary(f, sched)
+    sizes = np.unique(ff.group, return_counts=True)[1].tolist()
+    gadgets = [net._max_min(n - 1, [pair], ("max", "min")) for pair in ff.pairs]
+    gadgets += net._tree(sizes, "max") + net._tree([len(sizes)], "min")
+    hidden = nw.layers[M:-1]
+    assert len(hidden) == len(gadgets)
+    Y = net.forward(net.Network(layers=nw.layers[:M], meta={}), X).T
+    for layer, (Wa, _) in zip(hidden, gadgets):
+        Z = layer.W @ Y + layer.b[:, None]
+        # per pair the units sum, +difference, -difference, then the carried
+        pairs = Wa.shape[0] - Wa.shape[1]
+        kept = np.r_[np.arange(0, 3 * pairs, 3), np.arange(3 * pairs, len(Wa))]
+        assert Z[kept].min() >= -1e-12, layer.tag
+        Y = np.maximum(Z, 0.0)
 
 
 def test_piece_stage_unit_count_dn_const_a3():
@@ -312,8 +360,7 @@ def test_piece_stage_unit_count_dn_const_a3():
     piece_layers = [l for l in nw.layers if l.tag == net.TAG_PIECES]
     assert len(piece_layers) == 1
     assert piece_layers[0].out_dim == 4
-    assert piece_layers[0].acts == (
-        net.ACT_IDENTITY, net.ACT_RELU, net.ACT_RELU, net.ACT_IDENTITY)
+    assert piece_layers[0].act == net.ACT_RELU
 
 
 @pytest.mark.parametrize(
@@ -416,7 +463,7 @@ def test_network_json_round_trip(capsys):
             net.Layer(
                 np.array(row["w"]).reshape(len(row["b"]), -1),
                 np.array(row["b"]),
-                tuple(row["act"]),
+                row["act"][0],
                 tag=row["tag"],
             )
             for row in doc["layers"]
@@ -424,10 +471,11 @@ def test_network_json_round_trip(capsys):
         meta=doc["meta"],
     )
     assert len(back.layers) == len(nw.layers)
-    for a, b in zip(back.layers, nw.layers):
+    for row, a, b in zip(doc["layers"], back.layers, nw.layers):
+        assert row["act"] == [b.act] * b.out_dim
         assert np.array_equal(a.W, b.W)
         assert np.array_equal(a.b, b.b)
-        assert a.acts == b.acts
+        assert a.act == b.act
         assert a.tag == b.tag
     assert back.meta == nw.meta
     assert set(doc["meta"]) == {"depth", "width", "activations", "provenance"}
