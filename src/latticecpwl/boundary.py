@@ -1,13 +1,13 @@
 """The CPWL decision-boundary function f: min over corner groups of max over
-bisector pieces, plus closed-form piece counts, a certificate that every
-enumerated piece is one, and the bit decoder.
+bisector pieces, plus closed-form piece counts, an integer certificate that
+every enumerated piece is one, and the bit decoder.
 
 Every C^1 corner x contributes a group of hyperplanes, one per closest C^0
-neighbor x'. A "piece" is a (group, hyperplane) membership after merging
-corners whose whole hyperplane sets coincide; that merge is what reproduces
-the coincidence corrections in the closed-form counts (two chain corners of
-the second D_n basis share their single bisector, and three E_n corner pairs
-collapse the same way).
+neighbor x', the bisector of the integer root x - x'. A "piece" is a (group,
+hyperplane) membership after merging corners whose whole hyperplane sets
+coincide; that merge is what reproduces the coincidence corrections in the
+closed-form counts (two chain corners of the second D_n basis share their
+single bisector, and three E_n corner pairs collapse the same way).
 """
 from __future__ import annotations
 
@@ -40,9 +40,12 @@ class BoundaryFunction:
     """f(ytilde) = min_groups max_members h_j(ytilde), as the arrays its
     evaluators read: row j of A and c is the piece of plane j.
 
-    Planes are deduplicated by exact integer keys, groups as whole sets. Row
-    m of `memberships` is the pair (group g, plane p), laid out in (g, p)
-    order, so each group's rows are contiguous. The dense oracle
+    Row j of d and p2 is plane j's integer key, which deduplicates planes:
+    the root d = x - x' of its pairs (d_1 = 1, d gram d = 2) and
+    p2 = 2p = (x + x') gram d, so A = -(d G)[1:] / G_11, c = p2 / (2 G_11).
+    Groups are deduplicated as whole sets. Row m of `memberships` is the
+    pair (group g, plane p), laid out in (g, p) order, so each group's rows
+    are contiguous. The dense oracle
     `eval_boundary_batch` returns each point's active membership id, so
     distinct active ids over the domain count pieces; the `eval` command
     prints values only, served by `folding.FoldedBoundary`. `pair_memb`
@@ -54,13 +57,16 @@ class BoundaryFunction:
     basis: OrientedBasis
     A: np.ndarray  # (P, n-1) piece gradients a = -vtilde / v_1
     c: np.ndarray  # (P,) piece biases p / v_1
+    d: np.ndarray  # (P, n) int, root x - x' of each plane
+    p2: np.ndarray  # (P,) int, 2p = (x + x') gram d
     memberships: np.ndarray  # (Pm, 2) int, (group id, plane id) in (g, p) order
     pair_x: np.ndarray  # (Np, n) int, C^1 endpoint of each neighbor pair
     pair_xp: np.ndarray  # (Np, n) int, C^0 endpoint
     pair_memb: np.ndarray  # (Np,) membership id per pair
 
     def __post_init__(self) -> None:
-        for a in (self.A, self.c, self.memberships, self.pair_x, self.pair_xp, self.pair_memb):
+        for a in (self.A, self.c, self.d, self.p2, self.memberships, self.pair_x,
+                  self.pair_xp, self.pair_memb):
             a.setflags(write=False)
 
 
@@ -69,10 +75,6 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
     the corner labels z, lexicographically ordered; by default all 2^n
     corners. `folding.chamber_corners` gives the labels of the folded f.
 
-    The bisector of (x, x') has v = x - x' and p = (||x||^2 - ||x'||^2)/2.
-    With integer Gram data both are exact: the plane key stores the integer
-    difference vector d and 2p = 2 z' gram d + d gram d.
-
     Built in one array pass. Every family Gram has an even diagonal with
     minimum 2, so the lattice is even with minimal norm 2, and the pairs are
     the entries equal to 2 of the integer norm table
@@ -80,7 +82,7 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
     and its product goes through BLAS) over blocks of C^1 rows of about 2^20
     entries each, so no C^1 x C^0 table is ever held; read row-major, they
     come corner by corner, x' ascending. Plane ids number the distinct keys
-    in first-occurrence order, found by a stable lexsort of the key rows, so
+    (d, p2) in first-occurrence order, found by a stable lexsort of the key rows, so
     no key is packed into one integer at any n. Corners merge by their sorted
     plane-id tuples, which also order the groups; a pair's membership id is
     its group's start plus its plane's rank in the group. Only the merge (per
@@ -101,12 +103,7 @@ def _corner_boundary(basis: OrientedBasis) -> BoundaryFunction:
 def _build_boundary(basis: OrientedBasis, z: np.ndarray) -> BoundaryFunction:
     gram = basis.gram
     c1, c0 = z[z[:, 0] == 1], z[z[:, 0] == 0]
-
-    # the rows' a gram b^T in float64 BLAS, exact on these small integers
-    def quad(a, b):
-        return ((a.astype(float) @ gram) * b).sum(1).astype(np.int64)
-
-    q0, q1 = quad(c0, c0), quad(c1, c1)
+    q0, q1 = _quad(c0, c0, gram), _quad(c1, c1, gram)
     rows, cross = c1.astype(float), (-2 * gram @ c0.T).astype(float)
     step = max(1, (1 << 20) // len(c0))
     hits = np.concatenate([
@@ -119,7 +116,7 @@ def _build_boundary(basis: OrientedBasis, z: np.ndarray) -> BoundaryFunction:
 
     d = pair_x - pair_xp
     # 2p = 2 z' gram d + d gram d, and d gram d = 2 on every pair
-    key_rows = np.column_stack([d, 2 * quad(pair_xp, d) + 2])
+    key_rows = np.column_stack([d, 2 * _quad(pair_xp, d, gram) + 2])
     by_key = np.lexsort(key_rows.T[::-1])
     new = np.ones(len(by_key), dtype=bool)
     new[1:] = (np.diff(key_rows[by_key], axis=0) != 0).any(axis=1)
@@ -153,6 +150,8 @@ def _build_boundary(basis: OrientedBasis, z: np.ndarray) -> BoundaryFunction:
         basis=basis,
         A=-V[:, 1:] / V[:, :1],
         c=keys[:, -1] / 2 / V[:, 0],
+        d=keys[:, :-1],
+        p2=keys[:, -1],
         memberships=memberships,
         pair_x=pair_x,
         pair_xp=pair_xp,
@@ -162,28 +161,29 @@ def _build_boundary(basis: OrientedBasis, z: np.ndarray) -> BoundaryFunction:
     return f
 
 
+def _quad(a: np.ndarray, b: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """The rows' a gram b^T in float64 BLAS, exact on these small integers."""
+    return ((a.astype(float) @ gram) * b).sum(1).astype(np.int64)
+
+
 def _check_boundary(f: BoundaryFunction) -> None:
-    """Construction-time invariants, in this order: groups smaller than the
-    kissing number, each group's first corner (the C^1 end of its first
-    pair) strictly above its cap, and each pair's midpoint on its piece,
-    mid_1 = a . mid~ + c (so a plane raised to a corner fails the cap)."""
-    G = f.basis.G
+    """Construction-time invariants, in integers, in this order: groups
+    smaller than the kissing number; per pair (x, x'), its plane's d = x - x'
+    and (x + x') gram d = p2, so its midpoint lies on its plane; per
+    membership, 2 x gram d - p2 = 2 at its group's first corner x (the C^1
+    end of its first pair): x sits one unit above each plane of its group."""
+    gram = f.basis.gram
     group, plane = f.memberships.T
-    sizes = np.bincount(group)
-    if sizes.max() >= _kissing_formula(f.basis.fid):
+    if np.bincount(group).max() >= _kissing_formula(f.basis.fid):
         raise InternalCheckError("group size reached the kissing number")
-    _, first = np.unique(group[f.pair_memb], return_index=True)
-    X = f.pair_x[first] @ G
-    heights = np.einsum("ij,ij->i", X[group, 1:], f.A[plane]) + f.c[plane]
-    cap = np.maximum.reduceat(heights, np.cumsum(sizes) - sizes)
-    if (X[:, 0] <= cap).any():
-        raise InternalCheckError("C^1 corner not strictly above its own cap")
-    mid = (f.pair_x + f.pair_xp) @ G / 2.0
     pair_plane = plane[f.pair_memb]
-    piece = np.einsum("ij,ij->i", mid[:, 1:], f.A[pair_plane]) + f.c[pair_plane]
-    resid = np.abs(mid[:, 0] - piece)
-    if resid.max() > 1e-9:
-        raise InternalCheckError(f"bisector misses pair midpoint by {resid.max():.2e}")
+    if (f.d[pair_plane] != f.pair_x - f.pair_xp).any():
+        raise InternalCheckError("plane root is not its pair's x - x'")
+    if (_quad(f.pair_x + f.pair_xp, f.d[pair_plane], gram) != f.p2[pair_plane]).any():
+        raise InternalCheckError("pair midpoint is off its bisector")
+    _, first = np.unique(group[f.pair_memb], return_index=True)
+    if (2 * _quad(f.pair_x[first][group], f.d[plane], gram) - f.p2[plane] != 2).any():
+        raise InternalCheckError("C^1 corner not one unit above each plane of its cap")
 
 
 def _kissing_formula(fid: FamilyId) -> int:
@@ -403,32 +403,33 @@ def certify_pieces(f: BoundaryFunction) -> np.ndarray:
     """Per membership (g, p), whether its witness proves it is a piece of f.
 
     The witness is the projected midpoint of the membership's first neighbor
-    pair; it lies in D(B), since P(B) is convex. It certifies (g, p) when
-    there plane p beats the other planes of group g, and group g's max beats
-    every other group's max, each by at least DECODE_TOL. Strict margins hold
+    pair (x, x'); it lies in D(B), since P(B) is convex. It certifies (g, p)
+    when there plane p is strictly above the other planes of group g, and
+    group g's max strictly below every other group's max. Strict order holds
     on an open neighborhood, so (g, p) is active on a set of positive volume.
 
-    Witnesses go in the blocks of `_height_blocks`, so their heights are the
-    ones `eval_boundary_batch` computes there. Per block, the (planes x
-    witnesses) heights minus each witness's own height give two bit sets,
-    packed over witnesses: "beats own by DECODE_TOL" and "below
-    own by DECODE_TOL". Rounding is monotone, so max_q fl(h_q - own) equals
-    fl(max_q h_q - own), and the margins hold exactly when every other group
-    has a member that beats own (OR over its members, AND over the groups)
-    and every other member of g is below own (AND over g). Marks take g and
-    p out: p counts as below own (its bit is read for g only), and g's OR
-    is set.
+    The order is exact. Along a fiber, plane j's height is
+    (p_j - d'_j . c' - G[0, 1:] . ytilde) / G_11, G_11 > 0, with c' the tail
+    of c = y G^T, and at the witness 2c' = ((x + x') gram)[1:]. So the
+    integers K_j = p2_j - d'_j . 2c' order the heights, and a strict gap is
+    at least 1 / (2 G_11) in y_1. `_height_blocks` forms K (a float gemm is
+    exact on small integers); per block, K minus each witness's own K gives
+    two bit sets, packed over witnesses: "beats own" (K > own) and "below
+    own" (K < own). The order holds when every other group has a member that
+    beats own (OR over its members, AND over the groups) and every other
+    member of g is below own (AND over g). Marks take g and p out: p counts
+    as below own (its bit is read for g only), and g's OR is set.
     """
     group, plane = f.memberships.T
     ranked, back, larger = _ranked(group, plane)
     _, first = np.unique(f.pair_memb, return_index=True)
-    W = ((f.pair_x[first] + f.pair_xp[first]) @ f.basis.G / 2.0)[:, 1:]
+    C2 = ((f.pair_x[first] + f.pair_xp[first]) @ f.basis.gram)[:, 1:].astype(float)
     certified = np.empty(len(group), dtype=bool)
-    for lo, hi, Ht in _height_blocks(W, f.A.T, f.c):
+    for lo, hi, Kt in _height_blocks(C2, -f.d[:, 1:].T.astype(float), f.p2.astype(float)):
         m = np.arange(lo, hi)  # witness m certifies membership m
         own, byte, bit = back[group[m]], (m - lo) >> 3, (128 >> ((m - lo) & 7)).astype(np.uint8)
-        Ht -= Ht[plane[m], m - lo]
-        below, beats = Ht <= -DECODE_TOL, Ht >= DECODE_TOL
+        Kt -= Kt[plane[m], m - lo]
+        below, beats = Kt < 0, Kt > 0
         below[plane[m], m - lo] = True  # p itself, read for the own group only
         alone = _group_reduce(np.bitwise_and, np.packbits(below, axis=1), ranked, larger)
         beaten = _group_reduce(np.bitwise_or, np.packbits(beats, axis=1), ranked, larger)
@@ -471,11 +472,6 @@ def piece_count_report(fid: FamilyId) -> dict:
     if fid.family == lat.FAMILY_EN:
         readings = en_formula_readings(fid.n)
         row["formula_readings"] = readings
-        row["adjudicated_reading"] = (
-            "multiplicity_over_i"
-            if oracle == readings["multiplicity_over_i"]
-            else "multiplicity_literal"
-            if oracle == readings["multiplicity_literal"]
-            else "neither"
-        )
+        # the first reading that the enumeration meets, in dict order
+        row["adjudicated_reading"] = next((k for k, v in readings.items() if v == oracle), "neither")
     return row

@@ -1,8 +1,8 @@
 """Reference oracles and reports that only the tests use.
 
 Brute-force nearest-point search and shell enumeration for the lattices,
-the decode-error estimate by brute-force nearest-corner search and, for the
-simplex family at any rank, by the sorted nearest-corner decoder,
+f and the nearest corner's first bit in closed form by sorting, at any rank,
+the decode-error estimate by brute-force nearest-corner search and by sorting,
 membership and the bounding box of the projected domain D(B), a Lipschitz
 constant of f, the plane keys, group planes and group corners of f
 derived from its pair arrays, the comparator sides of corner labels by
@@ -106,27 +106,41 @@ def nearest_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
     return corners.z[lat.cvp_corners_batch(basis, Y), 0].astype(np.int8)
 
 
-def an_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
-    """First bit z_1 of each point's nearest corner for the simplex family,
-    by sorting (Conway & Sloane, "Fast quantizing and decoding algorithms for
-    lattice quantizers and codes", 1982), at any rank.
+def _sorted_split(basis: lat.OrientedBasis, C: np.ndarray) -> np.ndarray:
+    """g_11 + m_1 - m_0 per row of C = (c_2 .. c_n), where c = y G^T: the
+    nearest corner has z_1 = 1 exactly when 2 c_1 exceeds it (Conway &
+    Sloane's sorting decoder, "Fast quantizing and decoding algorithms for
+    lattice quantizers and codes", 1982, carried to every family).
 
-    Minimizing |y - zB|^2 over z in {0,1}^n reduces, for the Gram matrix
-    J + I, to -2 sum z_i c_i + S^2 + S with c = y B^T and S = sum z_i, so the
-    best z with S = k takes the k largest c_i and the best k minimizes
-    k^2 + k - 2 (top-k partial sum). z_1 = 1 iff c_1 ranks inside the top k.
-    """
-    n = basis.n
-    c = Y @ basis.G.T
-    order = np.sort(c, axis=1)[:, ::-1]
-    csum = np.cumsum(order, axis=1)
-    k = np.arange(n + 1)
-    obj = k * k + k - 2.0 * np.concatenate(
-        [np.zeros((Y.shape[0], 1)), csum], axis=1
-    )
-    kstar = obj.argmin(axis=1)
-    rank0 = (c > c[:, :1]).sum(axis=1)
-    return (rank0 < kstar).astype(np.int8)
+    Every family's gram has gram[1:, 1:] = I + J. With g = gram[0, 1:] and k
+    the ones of z' = (z_2 .. z_n), |y - zG|^2 - |y|^2 is
+    z_1 (g_11 - 2 c_1) + k^2 + k - 2 z' . (C - z_1 g), so the best z' with k
+    ones takes the k largest entries of C - z_1 g, and
+    m_z = min over k = 0..n-1 of k^2 + k - 2 S_k(C - z g), with S_k the sum
+    of the k largest entries."""
+    gram = basis.gram
+    k = np.arange(basis.n)
+
+    def best(V: np.ndarray) -> np.ndarray:
+        S = np.cumsum(-np.sort(-V, axis=1), axis=1)
+        return (k * k + k - 2 * np.concatenate([np.zeros((len(V), 1)), S], axis=1)).min(axis=1)
+
+    return gram[0, 0] + best(C - gram[0, 1:]) - best(C)
+
+
+def sorted_height(basis: lat.OrientedBasis, Yt: np.ndarray) -> np.ndarray:
+    """f at each projected point y~ in closed form, at any rank: the y_1 where
+    the fiber crosses from z_1 = 0 to z_1 = 1, c_1 = G_11 y_1 + G[0, 1:] . y~
+    equal to half of `_sorted_split`."""
+    G = basis.G
+    return (_sorted_split(basis, Yt @ G[1:, 1:].T) / 2 - Yt @ G[0, 1:]) / G[0, 0]
+
+
+def sorted_corner_bits(basis: lat.OrientedBasis, Y: np.ndarray) -> np.ndarray:
+    """First bit z_1 of each point's nearest corner, by `_sorted_split`, at
+    any rank and for every family."""
+    C = Y @ basis.G.T
+    return (2 * C[:, 0] > _sorted_split(basis, C[:, 1:])).astype(np.int8)
 
 
 def _decode_error(basis, seed, samples, corner_bits) -> ana.McEstimate:
@@ -150,8 +164,8 @@ def decode_error_cvp(basis: lat.OrientedBasis, seed: int = 0, samples: int = 10_
 
 def decode_error_sorted(basis: lat.OrientedBasis, seed: int = 0, samples: int = 10_000) -> ana.McEstimate:
     """The decode-error row of `decode_error_cvp`, with the nearest corner's
-    first bit from the sorted simplex-family decoder `an_corner_bits`."""
-    return _decode_error(basis, seed, samples, an_corner_bits)
+    first bit from the sorting decoder `sorted_corner_bits`."""
+    return _decode_error(basis, seed, samples, sorted_corner_bits)
 
 
 def domain_contains(basis: lat.OrientedBasis, Yt: np.ndarray) -> np.ndarray:

@@ -264,14 +264,25 @@ def test_fast_decoder_matches_brute_exhaustively():
     for n in [6, 8, 10]:
         basis = make("an", n)
         Y = lat.sample_parallelotope(basis, seed=3, count=5_000)
-        fast = oracles.an_corner_bits(basis, Y)
+        fast = oracles.sorted_corner_bits(basis, Y)
         brute = oracles.nearest_corner_bits(basis, Y)
         assert np.array_equal(fast, brute), n
 
 
+@pytest.mark.parametrize("family", lat.FAMILIES)
+def test_sorted_corner_bits_equal_nearest_corner_bits(family):
+    # the sorting decoder carries to every family: gram[1:, 1:] = I + J
+    lo, hi = lat.FAMILY_RANGES[family]
+    for n in range(lo, min(hi or 10, 10) + 1):
+        basis = make(family, n)
+        Y = lat.sample_parallelotope(basis, seed=n, count=2_000)
+        sorted_bits = oracles.sorted_corner_bits(basis, Y)
+        assert np.array_equal(sorted_bits, oracles.nearest_corner_bits(basis, Y)), n
+
+
 def test_mc_estimates_two_rows_at_dn_second_11():
-    # the D_n families have no sorted decoder, and f from the chamber corners
-    # gives both rows past the rank where 2^n corners were enumerated
+    # f from the chamber corners gives both rows past the rank where 2^n
+    # corners were enumerated
     rows = ana.mc_estimates(make("dn-second", 11), seed=1, samples=2_000)
     assert list(rows) == ["decode_error", "l1_gap"]
     a, b = rows["decode_error"], rows["l1_gap"]

@@ -400,6 +400,8 @@ def _reference_build_boundary(basis, z=None):
         basis=basis,
         A=A,
         c=c,
+        d=np.asarray([k[0] for k in keys], dtype=np.int64).reshape(-1, n),
+        p2=np.asarray([k[1] for k in keys], dtype=np.int64),
         memberships=np.asarray(memb_rows, dtype=np.int64).reshape(-1, 2),
         pair_x=np.asarray(pair_x, dtype=np.int64).reshape(-1, n),
         pair_xp=np.asarray(pair_xp, dtype=np.int64).reshape(-1, n),
@@ -410,7 +412,7 @@ def _reference_build_boundary(basis, z=None):
 
 def assert_same_boundary(f, reference):
     ref, structure = reference
-    for name in ("A", "c", "memberships", "pair_x", "pair_xp", "pair_memb"):
+    for name in ("A", "c", "d", "p2", "memberships", "pair_x", "pair_xp", "pair_memb"):
         got, want = getattr(f, name), getattr(ref, name)
         assert (got.shape, got.dtype) == (want.shape, want.dtype), name
         assert got.tobytes() == want.tobytes(), name
@@ -469,6 +471,32 @@ def test_family_bases_meet_what_build_boundary_assumes(family, n):
     assert det == pytest.approx(np.sqrt(np.linalg.det(basis.gram)), rel=1e-12)
 
 
+# the acceptance instances, each with its all-corner f, and the chamber f
+# of the fold at ranks past the corner enumeration
+KEY_INSTANCES = (
+    [("an", n, "all") for n in range(2, 9)]
+    + [(family, n, "all") for family in ("dn-const-a", "dn-second") for n in range(3, 9)]
+    + [("en", n, "all") for n in range(6, 9)]
+    + [(family, n, "chamber") for family in ("an", "dn-second") for n in (64, 256)]
+)
+
+
+@pytest.mark.parametrize("family,n,corners", KEY_INSTANCES)
+def test_plane_keys_are_roots_that_give_the_pieces(family, n, corners):
+    """Every plane's d is a root with d_1 = 1, and the float piece is its
+    integer key over G: A = -(d G)[1:] / G_11 and c = p2 / (2 G_11)."""
+    fid = FamilyId(family, n)
+    basis = lat.build_basis(fid)
+    z = None if corners == "all" else fo.chamber_corners(basis, fo.build_schedule(fid, basis))
+    f = bd.build_boundary(basis, z)
+    assert (f.d.dtype, f.p2.dtype) == (np.int64, np.int64)
+    assert (f.d[:, 0] == 1).all()
+    assert (np.einsum("ij,jk,ik->i", f.d, basis.gram, f.d) == 2).all()
+    G11 = basis.G[0, 0]
+    np.testing.assert_allclose(f.A, -(f.d @ basis.G)[:, 1:] / G11, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(f.c, f.p2 / (2 * G11), rtol=0, atol=1e-12)
+
+
 # the surviving pieces, the columns of the fold-first evaluator
 FOLDED_PIECES = {
     "an": lambda n: 2 * n - 1,
@@ -495,33 +523,42 @@ def test_check_boundary_accepts_built_f(dn5):
     bd._check_boundary(dn5)
 
 
+def test_check_boundary_rejects_plane_root_off_its_pair(dn5):
+    d = dn5.d.copy()
+    d[len(d) // 2, -1] += 1
+    with pytest.raises(InternalCheckError, match="root"):
+        bd._check_boundary(dataclasses.replace(dn5, d=d))
+
+
 def test_check_boundary_rejects_plane_missing_midpoint(dn5):
-    c = dn5.c.copy()
-    c[len(c) // 2] += 1e-6
+    p2 = dn5.p2.copy()
+    p2[len(p2) // 2] += 2
     with pytest.raises(InternalCheckError, match="midpoint"):
-        bd._check_boundary(dataclasses.replace(dn5, c=c))
+        bd._check_boundary(dataclasses.replace(dn5, p2=p2))
 
 
-@pytest.mark.parametrize("lift", [1.0, 0.0], ids=["above", "touching"])
+@pytest.mark.parametrize("lift", [4, 0], ids=["above", "touching"])
 def test_check_boundary_rejects_corner_not_above_its_cap(dn5, lift):
-    """Flatten one plane that only one group uses, at its first corner's
-    height plus `lift`: that group's max (not its min) reaches the corner. The
-    group has two or more members and is not group 0."""
-    use = np.bincount(dn5.memberships[:, 1])
-    _, planes_per_group, group_corner_z = oracles.boundary_structure(dn5)
-    g, plane = max(
-        (g, pl)
-        for g, planes in enumerate(planes_per_group)
-        if len(planes) > 1
-        for pl in planes
-        if use[pl] == 1
+    """Move one membership (h, q) into another group g, as a wrong merge
+    would: g's first corner x then stands `lift` above plane q in units of
+    2 x gram d - p2, not the 2 of its own planes. Every pair still meets its
+    plane, and h keeps other members."""
+    group, plane = dn5.memberships.T
+    _, first = np.unique(group[dn5.pair_memb], return_index=True)
+    X = dn5.pair_x[first]
+    height = 2 * X @ dn5.basis.gram @ dn5.d.T - dn5.p2  # (groups, planes)
+    sizes = np.bincount(group)
+    m, g = next(
+        (m, g)
+        for m in range(len(group))
+        if sizes[group[m]] > 1
+        for g in range(len(sizes))
+        if g != group[m] and height[g, plane[m]] == lift
     )
-    assert g > 0
-    x = np.asarray(group_corner_z[g][0], dtype=float) @ dn5.basis.G
-    A, c = dn5.A.copy(), dn5.c.copy()
-    A[plane], c[plane] = 0.0, x[0] + lift
+    memberships = dn5.memberships.copy()
+    memberships[m, 0] = g
     with pytest.raises(InternalCheckError, match="cap"):
-        bd._check_boundary(dataclasses.replace(dn5, A=A, c=c))
+        bd._check_boundary(dataclasses.replace(dn5, memberships=memberships))
 
 
 def test_check_boundary_rejects_group_at_kissing_number(dn5, monkeypatch):
@@ -600,14 +637,14 @@ def test_certificate_bits_equal_float_margins(family, n):
 
 
 def test_certificate_drops_a_lowered_plane(monkeypatch):
-    """Lowering plane 0's bias by 10 puts it below the other planes of its
-    groups at their witnesses: exactly its memberships lose the certificate,
-    and the report no longer matches."""
+    """Lowering plane 0's p2 by 20 (its bias by 10: G_11 = 1 here) puts it
+    below the other planes of its groups at their witnesses: exactly its
+    memberships lose the certificate, and the report no longer matches."""
     fid = FamilyId("dn-second", 4)
     f = bd.build_boundary(lat.build_basis(fid))
-    c = f.c.copy()
-    c[0] -= 10.0
-    lowered = dataclasses.replace(f, c=c)
+    p2 = f.p2.copy()
+    p2[0] -= 20
+    lowered = dataclasses.replace(f, p2=p2)
     certified = bd.certify_pieces(lowered)
     own = f.memberships[:, 1] == 0
     assert own.sum() == 2
@@ -615,6 +652,47 @@ def test_certificate_drops_a_lowered_plane(monkeypatch):
     monkeypatch.setattr(bd, "build_boundary", lambda basis: lowered)
     row = bd.piece_count_report(fid)
     assert (row["oracle"], row["sampled"], row["match"]) == (20, 18, False)
+
+
+def witness_keys(f, m):
+    """K_j = p2_j - d'_j . 2c' of every plane at membership m's witness."""
+    pair = np.flatnonzero(f.pair_memb == m)[0]
+    c2 = (f.pair_x[pair] + f.pair_xp[pair]) @ f.basis.gram
+    return f.p2 - f.d[:, 1:] @ c2[1:]
+
+
+@pytest.mark.parametrize("gap", [0, 1])
+def test_certificate_order_is_strict_within_the_group(dn5, gap):
+    """Raise another plane q of membership m's group to `gap` below m's own
+    plane at m's witness: a tie takes m's certificate away, a gap of one
+    integer keeps it."""
+    group, plane = dn5.memberships.T
+    m = int(np.flatnonzero(np.bincount(group)[group] > 1)[0])
+    q = next(pl for pl in plane[group == group[m]] if pl != plane[m])
+    K = witness_keys(dn5, m)
+    p2 = dn5.p2.copy()
+    p2[q] += K[plane[m]] - K[q] - gap
+    assert bd.certify_pieces(dataclasses.replace(dn5, p2=p2))[m] == bool(gap)
+
+
+@pytest.mark.parametrize("gap", [0, 1])
+def test_certificate_order_is_strict_across_groups(dn5, gap):
+    """Lower every plane of a group h that shares no plane with membership
+    m's group to m's own height at m's witness, then raise one of them by
+    `gap`: with no member strictly above, m is not certified."""
+    group, plane = dn5.memberships.T
+    m = 0
+    own_planes = set(plane[group == group[m]].tolist())
+    h = next(
+        h for h in range(group.max() + 1)
+        if not own_planes & set(plane[group == h].tolist())
+    )
+    K = witness_keys(dn5, m)
+    members = plane[group == h]
+    p2 = dn5.p2.copy()
+    p2[members] += K[plane[m]] - K[members]
+    p2[members[0]] += gap
+    assert bd.certify_pieces(dataclasses.replace(dn5, p2=p2))[m] == bool(gap)
 
 
 def test_piece_connectivity_small_n():
@@ -749,7 +827,7 @@ def test_built_arrays_are_read_only():
     basis = lat.build_basis(MEMO_FID)
     f, ff = bd.build_boundary(basis), fo.fold_first(basis)
     arrays = {**array_fields(f), **{f"ff.{k}": a for k, a in array_fields(ff).items()}}
-    assert len(arrays) == 10
+    assert len(arrays) == 12
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0

@@ -319,7 +319,7 @@ def test_decode_agrees_with_nearest_corner_folded(capsys, tmp_path, family, n):
 @pytest.mark.parametrize("n", [24, 57, 64, 256])
 def test_decode_agrees_with_sorted_decoder_at_large_rank(capsys, tmp_path, n):
     # f from the chamber corners serves far past the 2^n corner enumeration;
-    # the sorted simplex-family decoder is the nearest-corner reference there
+    # the sorting decoder is the nearest-corner reference there
     basis = lat.build_basis(lat.FamilyId("an", n))
     Y = lat.sample_parallelotope(basis, seed=n, count=1_000)
     pts = tmp_path / "pts.txt"
@@ -327,10 +327,47 @@ def test_decode_agrees_with_sorted_decoder_at_large_rank(capsys, tmp_path, n):
     code, out, _ = run(capsys, ["decode", "--family", "an", "--n", str(n), "--in", str(pts)])
     assert code == 0
     bits = np.array(out.splitlines())
-    want = oracles.an_corner_bits(basis, Y).astype(str)
+    want = oracles.sorted_corner_bits(basis, Y).astype(str)
     known = bits != "?"
     assert known.mean() > 0.99
     assert np.array_equal(bits[known], want[known])
+
+
+@pytest.mark.parametrize("family", ["an", "dn-const-a", "dn-second"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_serving_commands_meet_the_sorted_closed_form(capsys, tmp_path, family, n):
+    """eval, decode and mc's decode-error row against f and the nearest
+    corner's bit in closed form. dn-const-a's heights are compared where
+    either lies inside the point's fiber: outside it, f's corner pieces need
+    not be the closed form's crossing."""
+    basis = lat.build_basis(lat.FamilyId(family, n))
+    base = ["--family", family, "--n", str(n)]
+    Yt = lat.sample_domain(basis, seed=n, count=500)
+    pts = tmp_path / "e.txt"
+    np.savetxt(pts, Yt, fmt="%.17g")
+    code, out, _ = run(capsys, ["eval", *base, "--in", str(pts)])
+    assert code == 0
+    got, want = np.array(out.split(), dtype=float), oracles.sorted_height(basis, Yt)
+    if family == "dn-const-a":
+        lo, hi = lat.fiber_interval_batch(basis, Yt)
+        inside = ((lo <= got) & (got <= hi)) | ((lo <= want) & (want <= hi))
+        assert inside.sum() >= 10
+        got, want = got[inside], want[inside]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    Y = lat.sample_parallelotope(basis, seed=n, count=200)
+    np.savetxt(pts, Y, fmt="%.17g")
+    code, out, _ = run(capsys, ["decode", *base, "--in", str(pts)])
+    assert code == 0
+    bits, want = np.array(out.split()), oracles.sorted_corner_bits(basis, Y).astype(str)
+    known = bits != "?"
+    assert known.mean() > 0.99
+    assert np.array_equal(bits[known], want[known])
+
+    code, out, _ = run(capsys, ["mc", *base, "--samples", "500", "--seed", "3"])
+    row = next(line.split(",") for line in out.splitlines() if line.startswith("decode_error,"))
+    want = oracles.decode_error_sorted(basis, seed=3, samples=500)
+    assert (float(row[3]), float(row[4])) == (want.estimate, want.stderr)
 
 
 @pytest.mark.parametrize("family", ["an", "dn-const-a", "dn-second"])
