@@ -56,20 +56,20 @@ def exact_simplex_volume(basis: lat.OrientedBasis) -> float:
     path from a top corner through its neighbor chain, so the value is tied
     to the boundary structure rather than an arbitrary simplex choice. The
     vertex matrix is T G with T unit lower triangular, so its |det| is
-    sqrt(det gram) > 0.
+    sqrt(det gram). det gram is exact, by Bareiss elimination in integers
+    (its pivots are the leading minors, > 0), so no BLAS kernel shows in it:
+    n + 1 on an, 4 on both D_n families and 9 - n on en.
     """
-    vertices = np.cumsum(basis.G, axis=0)
-    return abs(float(np.linalg.det(vertices))) / math.factorial(basis.n)
+    a, prev = basis.gram.astype(object), 1
+    for k in range(basis.n - 1):
+        s = slice(k + 1, None)
+        a[s, s], prev = (a[s, s] * a[k, k] - np.outer(a[s, k], a[k, s])) // prev, a[k, k]
+    return math.sqrt(a[-1, -1]) / math.factorial(basis.n)
 
 
 def volume_report(basis: lat.OrientedBasis) -> dict:
     lower, upper = simplex_volume_bounds(basis.n)
-    return {
-        "n": basis.n,
-        "exact": exact_simplex_volume(basis),
-        "lower": lower,
-        "upper": upper,
-    }
+    return {"n": basis.n, "exact": exact_simplex_volume(basis), "lower": lower, "upper": upper}
 
 
 def decoding_error_bound(n: int) -> float:

@@ -8,7 +8,9 @@ hyperplane) membership after merging corners whose whole hyperplane sets
 coincide; that merge is what reproduces the coincidence corrections in the
 closed-form counts (two chain corners of the second D_n basis share their
 single bisector, and three E_n corner pairs collapse the same way).
-"""
+
+f holds integers only; `pieces` forms from them the one float table of
+pieces that every evaluator reads."""
 from __future__ import annotations
 
 import math
@@ -37,15 +39,14 @@ NEAR_MEMBERSHIPS = 100
 
 @dataclass(frozen=True, eq=False)
 class BoundaryFunction:
-    """f(ytilde) = min_groups max_members h_j(ytilde), as the arrays its
-    evaluators read: row j of A and c is the piece of plane j.
+    """f(ytilde) = min_groups max_members h_j(ytilde), held in integers:
+    `pieces` forms the float heights h_j that the evaluators read.
 
     Row j of d and p2 is plane j's integer key, which deduplicates planes:
     the root d = x - x' of its pairs (d_1 = 1, d gram d = 2) and
-    p2 = 2p = (x + x') gram d, so A = -(d G)[1:] / G_11, c = p2 / (2 G_11).
-    Groups are deduplicated as whole sets. Row m of `memberships` is the
-    pair (group g, plane p), laid out in (g, p) order, so each group's rows
-    are contiguous. The dense oracle
+    p2 = 2p = (x + x') gram d. Groups are deduplicated as whole sets. Row m
+    of `memberships` is the pair (group g, plane p), laid out in (g, p)
+    order, so each group's rows are contiguous. The dense oracle
     `eval_boundary_batch` returns each point's active membership id, so
     distinct active ids over the domain count pieces; the `eval` command
     prints values only, served by `folding.FoldedBoundary`. `pair_memb`
@@ -55,8 +56,6 @@ class BoundaryFunction:
     """
 
     basis: OrientedBasis
-    A: np.ndarray  # (P, n-1) piece gradients a = -vtilde / v_1
-    c: np.ndarray  # (P,) piece biases p / v_1
     d: np.ndarray  # (P, n) int, root x - x' of each plane
     p2: np.ndarray  # (P,) int, 2p = (x + x') gram d
     memberships: np.ndarray  # (Pm, 2) int, (group id, plane id) in (g, p) order
@@ -65,8 +64,7 @@ class BoundaryFunction:
     pair_memb: np.ndarray  # (Np,) membership id per pair
 
     def __post_init__(self) -> None:
-        for a in (self.A, self.c, self.d, self.p2, self.memberships, self.pair_x,
-                  self.pair_xp, self.pair_memb):
+        for a in (self.d, self.p2, self.memberships, self.pair_x, self.pair_xp, self.pair_memb):
             a.setflags(write=False)
 
 
@@ -86,7 +84,7 @@ def build_boundary(basis: OrientedBasis, z: np.ndarray | None = None) -> Boundar
     no key is packed into one integer at any n. Corners merge by their sorted
     plane-id tuples, which also order the groups; a pair's membership id is
     its group's start plus its plane's rank in the group. Only the merge (per
-    corner) and the normals v (per plane) loop in Python.
+    corner) loops in Python.
 
     The all-corner f is memoized per process for the last basis asked for
     (by identity, as `lat.build_basis` hands it out): calls on one instance
@@ -144,21 +142,24 @@ def _build_boundary(basis: OrientedBasis, z: np.ndarray) -> BoundaryFunction:
         np.array([pl for g in group_planes for pl in g], dtype=np.int64),
     ])
 
-    # one row per plane: a stacked D @ G can round differently in the last bit
-    V = np.array([row @ basis.G for row in keys[:, :-1].astype(float)])
-    f = BoundaryFunction(
-        basis=basis,
-        A=-V[:, 1:] / V[:, :1],
-        c=keys[:, -1] / 2 / V[:, 0],
-        d=keys[:, :-1],
-        p2=keys[:, -1],
-        memberships=memberships,
-        pair_x=pair_x,
-        pair_xp=pair_xp,
-        pair_memb=pair_memb,
-    )
+    f = BoundaryFunction(basis, keys[:, :-1], keys[:, -1], memberships, pair_x, pair_xp, pair_memb)
     _check_boundary(f)
     return f
+
+
+def pieces(f: BoundaryFunction, plane=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(W, bias) of the planes (all by default): heights c' W + bias over
+    c' = `tail_coords`. In c = y G^T plane j is d_j . c = p_j, and
+    c_1 = G_11 y_1 + r . c' with r = gram[1:, 1:]^-1 g, g = gram[1:, 0].
+    gram[1:, 1:] = I + J in every family, so r = g - (sum g / n) 1, and
+    W = -(d' + r)^T / G_11, bias = p2 / (2 G_11), elementwise."""
+    g, G11 = f.basis.gram[1:, 0], f.basis.G[0, 0]
+    return -(f.d[plane, 1:] + (g - g.sum() / f.basis.n)).T / G11, f.p2[plane] / (2 * G11)
+
+
+def tail_coords(basis: OrientedBasis, Yt: np.ndarray) -> np.ndarray:
+    """c' = y~ G[1:, 1:]^T per row of Yt, the tail of c = y G^T: `pieces`' coordinates."""
+    return np.atleast_2d(np.asarray(Yt, dtype=float)) @ basis.G[1:, 1:].T
 
 
 def _quad(a: np.ndarray, b: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -330,18 +331,18 @@ def eval_boundary_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense f evaluation over every membership (the oracle of the fold-first
     `folding.eval_folded_batch`): (values, active membership ids) over the
-    per-plane heights Yt A^T + c. Each block of `_height_blocks` takes one
-    group-max reduction for both: the values are the min of the group
-    maxima, as in `_min_max`, and a min is exact in any order, so they are
-    `_min_max`'s values bit for bit. A point's id is the first membership
-    whose height equals its value in a group with no member above it: the
-    first group whose max is the value, at its first top member."""
-    Yt = np.atleast_2d(np.asarray(Yt, dtype=float))
+    per-plane `pieces` at the points' `tail_coords`. Each block of
+    `_height_blocks` takes one group-max reduction for both: the values are
+    the min of the group maxima, as in `_min_max`, and a min is exact in any
+    order, so they are `_min_max`'s values bit for bit. A point's id is the
+    first membership whose height equals its value in a group with no member
+    above it: the first group whose max is the value, at its first top member."""
+    C = tail_coords(f.basis, Yt)
     group, plane = f.memberships.T
     ranked, back, larger = _ranked(group, plane)
     starts = np.flatnonzero(np.diff(group, prepend=-1))
-    vals, ids = np.empty(Yt.shape[0]), np.empty(Yt.shape[0], dtype=np.int64)
-    for lo, hi, Ht in _height_blocks(Yt, f.A.T, f.c):
+    vals, ids = np.empty(C.shape[0]), np.empty(C.shape[0], dtype=np.int64)
+    for lo, hi, Ht in _height_blocks(C, *pieces(f)):
         peaks = _group_reduce(np.maximum, Ht, ranked, larger)
         v = peaks.min(axis=0, out=vals[lo:hi])
         g = (peaks[back] == v).argmax(axis=0)

@@ -6,7 +6,8 @@ so the fold is the sort of c descending per block. `comparators` lists
 that sort's compare-exchanges once: `sort_fold` runs them on points, and
 `network.synthesize` compiles each into a ReLU unit. The module also finds
 the pieces that survive on the folded domain, evaluates f fold-first over
-them, and verifies that f is invariant under the fold.
+them (`boundary.pieces` gives their heights over the same c), and verifies
+that f is invariant under the fold.
 """
 from __future__ import annotations
 
@@ -80,7 +81,7 @@ def verify_fold_invariance(
     with B = f.basis. The two sides take independent routes. f(F(y~)) is
     fold-first, `fold_first(f.basis)`: the sort F of c = y~ Gt^T and then the
     min-max over the f built from the chamber corners alone. f(y~) is dense,
-    the min-max over every membership of f at y~, with the values
+    the min-max over every plane's `bnd.pieces` at c, with the values
     `eval_boundary_batch` gives, bit for bit. `bnd._min_max_near` computes
     them: where the fold-first value t is within FOLD_DEV_LIMIT of f, f is
     certified to be the height of the one plane in that band, and a block
@@ -95,7 +96,9 @@ def verify_fold_invariance(
         raise DomainError(f"count must be >= 1, got {count}")
     Yt = lat.sample_domain(f.basis, seed=seed, count=count)
     folded = eval_folded_batch(fold_first(f.basis), Yt)
-    dense = bnd._min_max_near(Yt, f.A.T, f.c, *f.memberships.T, folded, FOLD_DEV_LIMIT)
+    C = bnd.tail_coords(f.basis, Yt)
+    del Yt  # the dense side holds one (count, n - 1) array
+    dense = bnd._min_max_near(C, *bnd.pieces(f), *f.memberships.T, folded, FOLD_DEV_LIMIT)
     return float(np.abs(dense - folded).max())
 
 
@@ -138,13 +141,13 @@ class FoldedBoundary:
     """f on the folded domain, in the coordinates c = y~ Gt^T (Gt = G[1:, 1:],
     rows b_2..b_n, stored contiguous). The fold sorts c descending within
     each schedule block, and f is the min over the surviving groups of the
-    max over their pieces c W + bias. Points are evaluated as columns:
-    `sort_fold` sorts the rows of C^T = Gt Y~^T, and `bnd._min_max` takes
-    the heights W^T C^T + bias."""
+    max over their pieces c W + bias (`bnd.pieces`). Points are evaluated as
+    columns: `sort_fold` sorts the rows of C^T = Gt Y~^T, and `bnd._min_max`
+    takes the heights W^T C^T + bias."""
 
     Gt: np.ndarray  # (n-1, n-1), C-contiguous
     pairs: tuple[tuple[int, int], ...]  # `comparators`, b_j as column j - 2 of c
-    W: np.ndarray  # (n-1, Pm) = Gt^-T A^T over the surviving memberships
+    W: np.ndarray  # (n-1, Pm), `bnd.pieces` of the surviving memberships' planes
     bias: np.ndarray  # (Pm,)
     group: np.ndarray  # (Pm,) surviving group id of each column of W
 
@@ -157,13 +160,9 @@ def build_folded_boundary(f: bnd.BoundaryFunction, schedule: Schedule) -> Folded
     """The fold-first evaluator of f: its surviving memberships in the
     coordinates c, and the schedule's comparators on the columns of c."""
     group, plane = folded_structure(f, schedule).T
-    return FoldedBoundary(
-        Gt=np.ascontiguousarray(f.basis.G[1:, 1:]),
-        pairs=tuple((j - 2, k - 2) for j, k in comparators(schedule)),
-        W=f.basis.Ginv[1:, 1:].T @ f.A[plane].T,
-        bias=f.c[plane],
-        group=group,
-    )
+    pairs = tuple((j - 2, k - 2) for j, k in comparators(schedule))
+    W, bias = bnd.pieces(f, plane)
+    return FoldedBoundary(np.ascontiguousarray(f.basis.G[1:, 1:]), pairs, W, bias, group)
 
 
 def fold_first(basis: lat.OrientedBasis) -> FoldedBoundary:

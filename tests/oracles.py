@@ -3,14 +3,14 @@
 Brute-force nearest-point search and shell enumeration for the lattices,
 f and the nearest corner's first bit in closed form by sorting, at any rank,
 the decode-error estimate by brute-force nearest-corner search and by sorting,
-membership and the bounding box of the projected domain D(B), a Lipschitz
-constant of f, the plane keys, group planes and group corners of f
-derived from its pair arrays, the comparator sides of corner labels by
-Gram rows, sampled folded-domain counts with the stated
-folded constants beside them, the reduction of extended-box points
-into the base cell, the fold as a sort of point rows, the layer-by-layer
-reference forward of a network, the line-by-line point-file reader, and
-the float-margin piece certificate.
+membership and the bounding box of the projected domain D(B), f's pieces
+over y~ by their original route, a Lipschitz constant of f, the plane keys,
+group planes and group corners of f derived from its pair arrays, the
+comparator sides of corner labels by Gram rows, sampled folded-domain
+counts with the stated folded constants beside them, the reduction of
+extended-box points into the base cell, the fold as a sort of point rows,
+the layer-by-layer reference forward of a network, the line-by-line
+point-file reader, and the float-margin piece certificate.
 None of it runs in a command; each is an independent route that the tests
 compare the program against.
 """
@@ -184,9 +184,19 @@ def domain_bbox(basis: lat.OrientedBasis) -> tuple[np.ndarray, np.ndarray]:
     return proj.min(axis=0), proj.max(axis=0)
 
 
+def reference_pieces(f: bnd.BoundaryFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) per plane, the piece y_1 = y~ . A_j + c_j over y~, by the route
+    `boundary.pieces` replaced: the normal v = d G one row at a time (a
+    stacked D @ G can round differently in the last bit), then
+    A = -v~ / v_1 and c = p / v_1."""
+    V = np.array([row @ f.basis.G for row in f.d.astype(float)]).reshape(-1, f.basis.n)
+    return -V[:, 1:] / V[:, :1], f.p2 / 2 / V[:, 0]
+
+
 def lipschitz_bound(f: bnd.BoundaryFunction) -> float:
     """max over planes of ||vtilde|| / |v . e_1|, a Lipschitz constant for f."""
-    return float(np.sqrt((f.A**2).sum(axis=1)).max()) if len(f.A) else 0.0
+    A, _ = reference_pieces(f)
+    return float(np.sqrt((A**2).sum(axis=1)).max()) if len(A) else 0.0
 
 
 def boundary_structure(f: bnd.BoundaryFunction) -> tuple[tuple, tuple, tuple]:
@@ -223,7 +233,8 @@ def reference_certify_pieces(f: bnd.BoundaryFunction) -> np.ndarray:
     starts = np.flatnonzero(np.diff(group, prepend=-1))
     _, first = np.unique(f.pair_memb, return_index=True)
     W = ((f.pair_x[first] + f.pair_xp[first]) @ f.basis.G / 2.0)[:, 1:]
-    A, c = f.A[plane].T, f.c[plane]
+    A, c = reference_pieces(f)
+    A, c = A[plane].T, c[plane]
     margin = np.empty(len(group))
     for lo, hi in bnd._tail_blocks(len(group), max(2, (1 << 16) // len(group))):
         m = np.arange(lo, hi)  # witness m certifies membership m

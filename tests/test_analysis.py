@@ -94,6 +94,23 @@ def test_exact_simplex_volume_matches_apex_neighbor_route():
         assert apex == pytest.approx(ana.exact_simplex_volume(basis), rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "family,n",
+    [(family, n) for family in lat.FAMILIES
+     for n in range(lat.FAMILY_RANGES[family][0], min(lat.FAMILY_RANGES[family][1] or 10, 10) + 1)]
+    + [(family, 64) for family in ("an", "dn-const-a", "dn-second")],
+)
+def test_exact_simplex_volume_is_the_integer_det_closed_form(family, n):
+    """det gram is n (g_11 - |g|^2) + (sum g)^2 by gram[1:, 1:] = I + J:
+    n + 1 on an, 4 on both D_n families and 9 - n on en. The volume is its
+    square root over n!, to the last bit, whatever BLAS kernels run."""
+    gram = lat.build_gram(lat.FamilyId(family, n))
+    g = gram[1:, 0]
+    det = n * (gram[0, 0] - g @ g) + g.sum() ** 2
+    assert det == {"an": n + 1, "en": 9 - n}.get(family, 4)
+    assert ana.exact_simplex_volume(make(family, n)) == math.sqrt(det) / math.factorial(n)
+
+
 def test_volume_report_fields():
     report = ana.volume_report(make("an", 4))
     assert report["n"] == 4

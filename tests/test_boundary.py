@@ -36,6 +36,13 @@ def group_planes(f):
     return oracles.boundary_structure(f)[1]
 
 
+def heights(f, Yt):
+    """Per point, every plane's height from `pieces` at the points'
+    `tail_coords`: the heights eval_boundary_batch reduces, bit for bit."""
+    W, bias = bd.pieces(f)
+    return bd.tail_coords(f.basis, Yt) @ W + bias
+
+
 def neighbors(f, x):
     """C^0 endpoints of the neighbor pairs whose C^1 endpoint is x."""
     pairs = zip(f.pair_x.tolist(), f.pair_xp.tolist())
@@ -69,7 +76,7 @@ def test_build_boundary_a3_structure(a3):
     assert sorted(len(g) for g in planes) == [1, 2, 2, 3]
     assert len(f.memberships) == 8
     # 8 memberships sit on only 5 distinct hyperplanes
-    assert len(plane_keys) == len(f.A) == 5
+    assert len(plane_keys) == len(f.d) == 5
 
 
 def test_build_boundary_dn_const_a3_simplex_sizes():
@@ -130,17 +137,19 @@ def test_bisector_through_midpoint(a3):
     basis, f = a3
     mid = (f.pair_x + f.pair_xp) @ basis.G / 2.0
     pair_plane = f.memberships[f.pair_memb, 1]
-    resid = np.abs(mid[:, 0] - ((mid[:, 1:] * f.A[pair_plane]).sum(axis=1) + f.c[pair_plane]))
+    A, c = oracles.reference_pieces(f)
+    resid = np.abs(mid[:, 0] - ((mid[:, 1:] * A[pair_plane]).sum(axis=1) + c[pair_plane]))
     assert resid.max() <= 1e-9
 
 
 def test_corner_above_own_cap(a3):
     basis, f = a3
     _, planes_per_group, group_corner_z = oracles.boundary_structure(f)
+    A, c = oracles.reference_pieces(f)
     for planes, zs in zip(planes_per_group, group_corner_z):
         for z in zs:
             x = np.asarray(z, dtype=float) @ basis.G
-            cap = (x[1:] @ f.A[list(planes)].T + f.c[list(planes)]).max()
+            cap = (x[1:] @ A[list(planes)].T + c[list(planes)]).max()
             assert x[0] > cap
 
 
@@ -195,7 +204,7 @@ def test_eval_active_matches_reference():
         lo, hi = oracles.domain_bbox(basis)
         Yt = np.vstack([Yt, [(lo + hi) / 2.0]])
         vals, act = bd.eval_boundary_batch(f, Yt)
-        H = Yt @ f.A.T + f.c
+        H = heights(f, Yt)
         planes = group_planes(f)
         for i in range(Yt.shape[0]):
             rv, rid = _reference_eval(planes, H[i])
@@ -215,7 +224,7 @@ def n8_tie_inputs(family):
 
 def assert_matches_reference(f, Yt):
     vals, act = bd.eval_boundary_batch(f, Yt)
-    H = Yt @ f.A.T + f.c
+    H = heights(f, Yt)
     planes = group_planes(f)
     for i in range(Yt.shape[0]):
         rv, rid = _reference_eval(planes, H[i])
@@ -269,7 +278,8 @@ def test_min_max_values_alone_equal_eval_values(family, n):
     rows = bd.EVAL_ROWS
     Yt = lat.sample_domain(basis, seed=5, count=2 * rows + 1)
     for count in (1, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1):
-        vals = bd._min_max(Yt[:count], f.A.T, f.c, *f.memberships.T)
+        C = bd.tail_coords(basis, Yt[:count])
+        vals = bd._min_max(C, *bd.pieces(f), *f.memberships.T)
         assert vals.tobytes() == bd.eval_boundary_batch(f, Yt[:count])[0].tobytes()
 
 
@@ -390,16 +400,8 @@ def _reference_build_boundary(basis, z=None):
         for ci, pid in zip(pair_corner, pair_plane)
     ]
 
-    V = np.array([np.asarray(k[0], dtype=float) @ basis.G for k in keys]).reshape(-1, n)
-    p = np.array([k[1] / 2.0 for k in keys])
-    v1 = V[:, 0] if len(V) else np.empty(0)
-    A = -V[:, 1:] / v1[:, None] if len(V) else np.empty((0, max(n - 1, 0)))
-    c = p / v1 if len(V) else np.empty(0)
-
     ref = bd.BoundaryFunction(
         basis=basis,
-        A=A,
-        c=c,
         d=np.asarray([k[0] for k in keys], dtype=np.int64).reshape(-1, n),
         p2=np.asarray([k[1] for k in keys], dtype=np.int64),
         memberships=np.asarray(memb_rows, dtype=np.int64).reshape(-1, 2),
@@ -412,7 +414,7 @@ def _reference_build_boundary(basis, z=None):
 
 def assert_same_boundary(f, reference):
     ref, structure = reference
-    for name in ("A", "c", "d", "p2", "memberships", "pair_x", "pair_xp", "pair_memb"):
+    for name in ("d", "p2", "memberships", "pair_x", "pair_xp", "pair_memb"):
         got, want = getattr(f, name), getattr(ref, name)
         assert (got.shape, got.dtype) == (want.shape, want.dtype), name
         assert got.tobytes() == want.tobytes(), name
@@ -484,7 +486,9 @@ KEY_INSTANCES = (
 @pytest.mark.parametrize("family,n,corners", KEY_INSTANCES)
 def test_plane_keys_are_roots_that_give_the_pieces(family, n, corners):
     """Every plane's d is a root with d_1 = 1, and the float piece is its
-    integer key over G: A = -(d G)[1:] / G_11 and c = p2 / (2 G_11)."""
+    integer key over G: the reference A = -(d G)[1:] / G_11 and
+    c = p2 / (2 G_11) over y~, and `pieces` over c' = y~ G[1:, 1:]^T, which
+    is Ginv[1:, 1:]^T A^T and c."""
     fid = FamilyId(family, n)
     basis = lat.build_basis(fid)
     z = None if corners == "all" else fo.chamber_corners(basis, fo.build_schedule(fid, basis))
@@ -493,8 +497,12 @@ def test_plane_keys_are_roots_that_give_the_pieces(family, n, corners):
     assert (f.d[:, 0] == 1).all()
     assert (np.einsum("ij,jk,ik->i", f.d, basis.gram, f.d) == 2).all()
     G11 = basis.G[0, 0]
-    np.testing.assert_allclose(f.A, -(f.d @ basis.G)[:, 1:] / G11, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(f.c, f.p2 / (2 * G11), rtol=0, atol=1e-12)
+    A, c = oracles.reference_pieces(f)
+    np.testing.assert_allclose(A, -(f.d @ basis.G)[:, 1:] / G11, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(c, f.p2 / (2 * G11), rtol=0, atol=1e-12)
+    W, bias = bd.pieces(f)
+    np.testing.assert_allclose(W, basis.Ginv[1:, 1:].T @ A.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bias, c, rtol=0, atol=1e-12)
 
 
 # the surviving pieces, the columns of the fold-first evaluator
@@ -715,7 +723,8 @@ def test_piece_connectivity_small_n():
         # drop points on (or within float noise of) a piece boundary: exact
         # ties there resolve to the lowest id, which may sit far from that
         # piece's open cell
-        h = pts @ f.A.T + f.c
+        A, c = oracles.reference_pieces(f)
+        h = pts @ A.T + c
         planes_per_group = group_planes(f)
         gvals = np.stack([h[:, list(g)].max(axis=1) for g in planes_per_group], axis=1)
         top2 = np.sort(gvals, axis=1)[:, :2]
@@ -827,7 +836,7 @@ def test_built_arrays_are_read_only():
     basis = lat.build_basis(MEMO_FID)
     f, ff = bd.build_boundary(basis), fo.fold_first(basis)
     arrays = {**array_fields(f), **{f"ff.{k}": a for k, a in array_fields(ff).items()}}
-    assert len(arrays) == 12
+    assert len(arrays) == 10
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0

@@ -269,7 +269,8 @@ def test_fold_check_shows_a_wrong_fold(monkeypatch, wrong, fallbacks):
     count = 3 * bd.EVAL_ROWS + 100
     Yt = lat.sample_domain(basis, seed=5, count=count)
     folded = fo.eval_folded_batch(fo.fold_first(basis), Yt)
-    heights = Yt @ f.A.T + f.c
+    A, c = oracles.reference_pieces(f)
+    heights = Yt @ A.T + c
     if wrong == "every 7th point":
         folded[::7] += 1e-6
     elif wrong == "one whole block":

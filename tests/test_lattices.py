@@ -75,6 +75,17 @@ def test_gram_determinants(family, n, det):
     assert round(np.linalg.det(g)) == det
 
 
+def test_gram_tail_is_identity_plus_ones():
+    """gram[1:, 1:] = I + J in every family, from its lowest n to 10 and at
+    n = 64: the premise of `boundary.pieces`, whose r = gram[1:, 1:]^-1 g
+    is g - (sum g / n) 1, and of det gram = n (g_11 - |g|^2) + (sum g)^2."""
+    for family in lat.FAMILIES:
+        lo, hi = lat.FAMILY_RANGES[family]
+        for n in [*range(lo, min(hi or 10, 10) + 1), *([64] if hi is None else [])]:
+            gram = lat.build_gram(lat.FamilyId(family, n))
+            assert np.array_equal(gram[1:, 1:], np.eye(n - 1) + 1), (family, n)
+
+
 def all_family_instances(n_max=8):
     out = []
     for family in lat.FAMILIES:

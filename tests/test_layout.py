@@ -59,7 +59,7 @@ def test_dense_values_match_eval_boundary_batch(family, n):
     basis = lat.build_basis(FamilyId(family, n))
     f = bd.build_boundary(basis)
     for Y in edge_inputs(basis, f, COUNTS):
-        vals = bd._min_max(Y[:, 1:], f.A.T, f.c, *f.memberships.T)
+        vals = bd._min_max(bd.tail_coords(basis, Y[:, 1:]), *bd.pieces(f), *f.memberships.T)
         assert vals.tobytes() == bd.eval_boundary_batch(f, Y[:, 1:])[0].tobytes()
 
 
@@ -76,7 +76,7 @@ def test_certified_dense_values_match_min_max(family, n, monkeypatch):
     ff = fo.fold_first(basis)
     for Y in edge_inputs(basis, f, (1,) + COUNTS):
         folded = fo.eval_folded_batch(ff, Y[:, 1:])
-        args = (Y[:, 1:], f.A.T, f.c, *f.memberships.T)
+        args = (bd.tail_coords(basis, Y[:, 1:]), *bd.pieces(f), *f.memberships.T)
         near = bd._min_max_near(*args, folded, fo.FOLD_DEV_LIMIT)
         assert near.tobytes() == bd._min_max(*args).tobytes()
 
@@ -98,6 +98,7 @@ def test_certified_dense_values_across_chunks(family, moved, monkeypatch):
     f = bd.build_boundary(basis)
     Y = lat.sample_domain(basis, seed=8, count=max(CHUNK_COUNTS))
     folded = fo.eval_folded_batch(fo.fold_first(basis), Y)
+    C = bd.tail_coords(basis, Y)
     if moved:
         folded[::7] += 1e-6
     min_max, fallbacks = bd._min_max, []
@@ -108,7 +109,7 @@ def test_certified_dense_values_across_chunks(family, moved, monkeypatch):
 
     monkeypatch.setattr(bd, "_min_max", spy)
     for count in CHUNK_COUNTS:
-        args = (Y[:count], f.A.T, f.c, *f.memberships.T)
+        args = (C[:count], *bd.pieces(f), *f.memberships.T)
         fallbacks.clear()
         near = bd._min_max_near(*args, folded[:count], fo.FOLD_DEV_LIMIT)
         assert near.tobytes() == min_max(*args).tobytes()

@@ -431,7 +431,8 @@ def test_distinct_gradients_match_folded_oracle():
         pts = oracles.sample_folded_domain(basis, ff, seed=14, count=8_000)
         # keep points whose active piece wins by a clear margin, so the
         # gradient is constant in the finite-difference neighborhood
-        H = pts @ f.A.T + f.c
+        A, c = oracles.reference_pieces(f)
+        H = pts @ A.T + c
         group_planes = oracles.boundary_structure(f)[1]
         gvals = np.stack([H[:, list(g)].max(axis=1) for g in group_planes], axis=1)
         top2 = np.sort(gvals, axis=1)[:, :2]
